@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot primitives behind the
 // pipeline's scalability story: string similarities (raw-string and
 // interned-token-id variants), tokenize/intern, value parsing, label index
-// retrieval, correlation clustering, and random forest prediction — plus
+// retrieval, correlation clustering, random forest prediction and score
+// aggregator training (serial and on a pool) — plus
 // an end-to-end prepared-vs-raw pipeline timing. Not a paper table — these
 // document the cost model behind the Section 3.2 scalability design
 // (prepared corpus + parallel greedy + KLj + blocking).
@@ -15,12 +16,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "cluster/correlation_clusterer.h"
 #include "obsv/memtrack.h"
 #include "obsv/profiler.h"
 #include "index/label_index.h"
+#include "ml/aggregator.h"
 #include "ml/random_forest.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/training.h"
@@ -193,6 +197,43 @@ void BM_RandomForestPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomForestPredict);
+
+/// kCombined training (GA weighted average + bag-fraction-tuned forest +
+/// blend sweep) on ~20k synthetic 6-metric pairs. Arg = pool workers,
+/// 0 = inline on the calling thread. Both variants train the same model.
+void BM_ScoreAggregatorTrain(benchmark::State& state) {
+  constexpr int kMetrics = 6;
+  util::Rng data_rng(3);
+  std::vector<ml::Example> examples(20000);
+  for (ml::Example& ex : examples) {
+    double evidence = 0.0;
+    for (int m = 0; m < kMetrics; ++m) {
+      const double sim =
+          data_rng.NextDouble() < 0.1 ? -1.0 : data_rng.NextDouble();
+      ex.features.sims.push_back(sim);
+      ex.features.confs.push_back(data_rng.NextDouble());
+      evidence += sim * (m + 1);
+    }
+    // About one positive in three, as in the row-pair training sets.
+    ex.target = evidence + data_rng.NextGaussian() > 12.0 ? 1.0 : -1.0;
+  }
+  std::unique_ptr<util::ThreadPool> pool;
+  if (state.range(0) > 0) {
+    pool = std::make_unique<util::ThreadPool>(
+        static_cast<size_t>(state.range(0)));
+  }
+  for (auto _ : state) {
+    ml::ScoreAggregator aggregator;
+    util::Rng rng(4);
+    aggregator.Train(examples, ml::AggregationKind::kCombined, rng,
+                     pool.get());
+    benchmark::DoNotOptimize(aggregator.trained());
+  }
+}
+BENCHMARK(BM_ScoreAggregatorTrain)
+    ->Arg(0)
+    ->Arg(3)
+    ->UseRealTime();
 
 /// Emits one JSON line per benchmark run on stdout (the machine-readable
 /// perf trajectory) and a short human-readable line on stderr.

@@ -187,7 +187,6 @@ struct LearnCandidate {
 /// threshold over the cached candidates of one class.
 double EvaluateWeights(const std::vector<LearnCandidate>& candidates,
                        const std::map<int, kb::PropertyId>& annotated,
-                       int num_columns,
                        const std::array<double, kNumMatchers>& weights,
                        double threshold,
                        std::map<int, std::pair<kb::PropertyId, double>>*
@@ -229,7 +228,6 @@ double EvaluateWeights(const std::vector<LearnCandidate>& candidates,
       ++fn;
     }
   }
-  (void)num_columns;
   const double p = tp + fp == 0 ? 0.0 : static_cast<double>(tp) / (tp + fp);
   const double r = tp + fn == 0 ? 0.0 : static_cast<double>(tp) / (tp + fn);
   return util::F1(p, r);
@@ -240,7 +238,8 @@ double EvaluateWeights(const std::vector<LearnCandidate>& candidates,
 void SchemaMatcher::Learn(const webtable::PreparedCorpus& prepared,
                           const std::vector<webtable::TableId>& learning_tables,
                           const std::vector<AttributeAnnotation>& annotations,
-                          const MatcherFeedback& feedback, util::Rng& rng) {
+                          const MatcherFeedback& feedback, util::Rng& rng,
+                          util::ThreadPool* pool) {
   Prepared prep = PrepareInputs(prepared, feedback);
 
   std::map<std::pair<webtable::TableId, int>, kb::PropertyId> annotation_map;
@@ -252,7 +251,6 @@ void SchemaMatcher::Learn(const webtable::PreparedCorpus& prepared,
   std::unordered_map<kb::ClassId, std::vector<LearnCandidate>> per_class;
   std::unordered_map<kb::ClassId, std::map<int, kb::PropertyId>>
       per_class_annotated;
-  std::unordered_map<kb::ClassId, int> per_class_columns;
   int next_column_key = 0;
 
   for (webtable::TableId tid : learning_tables) {
@@ -270,7 +268,6 @@ void SchemaMatcher::Learn(const webtable::PreparedCorpus& prepared,
     for (size_t c = 0; c < table.num_columns; ++c) {
       if (static_cast<int>(c) == label_column) continue;
       const int column_key = next_column_key++;
-      per_class_columns[ttc.cls] += 1;
       auto ann = annotation_map.find({tid, static_cast<int>(c)});
       if (ann != annotation_map.end()) annotated[column_key] = ann->second;
       for (kb::PropertyId pid : kb_->cls(ttc.cls).properties) {
@@ -297,11 +294,10 @@ void SchemaMatcher::Learn(const webtable::PreparedCorpus& prepared,
     auto fitness = [&](const std::vector<double>& genome) {
       std::array<double, kNumMatchers> w;
       for (int i = 0; i < kNumMatchers; ++i) w[i] = genome[i];
-      return EvaluateWeights(candidates, annotated, per_class_columns[cls], w,
-                             genome[kNumMatchers]);
+      return EvaluateWeights(candidates, annotated, w, genome[kNumMatchers]);
     };
-    auto genome =
-        ml::GeneticMaximize(kNumMatchers + 1, fitness, rng, options_.genetic);
+    auto genome = ml::GeneticMaximize(kNumMatchers + 1, fitness, rng,
+                                      options_.genetic, pool);
     std::array<double, kNumMatchers> weights;
     for (int i = 0; i < kNumMatchers; ++i) weights[i] = genome[i];
     weights_[cls] = weights;
@@ -309,8 +305,8 @@ void SchemaMatcher::Learn(const webtable::PreparedCorpus& prepared,
 
     // Decisions under the final weights (threshold-free argmax).
     std::map<int, std::pair<kb::PropertyId, double>> decisions;
-    EvaluateWeights(candidates, annotated, per_class_columns[cls], weights,
-                    global_threshold, &decisions);
+    EvaluateWeights(candidates, annotated, weights, global_threshold,
+                    &decisions);
 
     // Per-property threshold sweep.
     for (kb::PropertyId pid : kb_->cls(cls).properties) {

@@ -55,11 +55,13 @@ class SchemaMatcher {
 
   /// Learns per-class matcher weights (genetic algorithm maximizing
   /// attribute-matching F1) and per-property decision thresholds from
-  /// `annotations` over `learning_tables`.
+  /// `annotations` over `learning_tables`. GA fitness runs on `pool`
+  /// (inline when null); the learned weights do not depend on its size.
   void Learn(const webtable::PreparedCorpus& prepared,
              const std::vector<webtable::TableId>& learning_tables,
              const std::vector<AttributeAnnotation>& annotations,
-             const MatcherFeedback& feedback, util::Rng& rng);
+             const MatcherFeedback& feedback, util::Rng& rng,
+             util::ThreadPool* pool = nullptr);
 
   /// Matches every table of the prepared corpus. Pass an empty feedback on
   /// the first iteration; the duplicate-based matchers activate

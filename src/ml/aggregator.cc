@@ -8,7 +8,8 @@
 namespace ltee::ml {
 
 void ScoreAggregator::Train(std::vector<Example> examples,
-                            AggregationKind kind, util::Rng& rng) {
+                            AggregationKind kind, util::Rng& rng,
+                            util::ThreadPool* pool) {
   kind_ = kind;
   trained_ = true;
   if (examples.empty()) return;
@@ -17,11 +18,11 @@ void ScoreAggregator::Train(std::vector<Example> examples,
 
   if (kind == AggregationKind::kWeightedAverage ||
       kind == AggregationKind::kCombined) {
-    wa_.Train(examples, rng);
+    wa_.Train(examples, rng, {}, pool);
   }
+  std::vector<std::vector<double>> x;  // forest features, one per example
   if (kind == AggregationKind::kRandomForest ||
       kind == AggregationKind::kCombined) {
-    std::vector<std::vector<double>> x;
     std::vector<double> y;
     x.reserve(examples.size());
     y.reserve(examples.size());
@@ -29,21 +30,26 @@ void ScoreAggregator::Train(std::vector<Example> examples,
       x.push_back(FlattenForForest(ex.features));
       y.push_back(ex.target);
     }
-    forest_.TuneBagFraction(x, y, rng);
+    forest_.TuneBagFraction(x, y, rng, {0.7, 1.0}, pool);
   }
   if (kind == AggregationKind::kCombined) {
     // Learn the blend weight by a 1-D sweep maximizing pair F1 (equivalent
-    // to the GA on a single weight but cheaper and deterministic).
+    // to the GA on a single weight but cheaper and deterministic). Neither
+    // model's score depends on the weight, so score each example once.
+    std::vector<double> wa_scores(examples.size());
+    std::vector<double> forest_scores(examples.size());
+    util::ParallelFor(pool, examples.size(), [&](size_t i) {
+      wa_scores[i] = wa_.Score(examples[i].features);
+      forest_scores[i] = forest_.Predict(x[i]);
+    });
     double best_f1 = -1.0, best_w = 0.5;
     for (int step = 0; step <= 20; ++step) {
       const double w = step / 20.0;
       size_t tp = 0, fp = 0, fn = 0;
-      for (const auto& ex : examples) {
-        const double s = w * wa_.Score(ex.features) +
-                         (1.0 - w) * forest_.Predict(
-                                         FlattenForForest(ex.features));
+      for (size_t i = 0; i < examples.size(); ++i) {
+        const double s = w * wa_scores[i] + (1.0 - w) * forest_scores[i];
         const bool predicted = s > 0.0;
-        const bool actual = ex.target > 0.0;
+        const bool actual = examples[i].target > 0.0;
         if (predicted && actual) ++tp;
         else if (predicted && !actual) ++fp;
         else if (!predicted && actual) ++fn;

@@ -7,6 +7,7 @@
 #include "ml/random_forest.h"
 #include "ml/weighted_average.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ltee::ml {
 
@@ -31,9 +32,11 @@ class ScoreAggregator {
   ScoreAggregator() = default;
 
   /// Trains on labeled pairs (targets +1/-1). Upsamples to balance classes
-  /// before learning. `kind` selects the aggregation approach.
+  /// before learning. `kind` selects the aggregation approach. GA fitness,
+  /// the bag-fraction candidates and the blend-sweep scoring run on `pool`
+  /// (inline when null); the trained model is the same for any pool size.
   void Train(std::vector<Example> examples, AggregationKind kind,
-             util::Rng& rng);
+             util::Rng& rng, util::ThreadPool* pool = nullptr);
 
   /// Aggregated score in [-1, 1].
   double Score(const ScoredFeatures& f) const;

@@ -13,7 +13,7 @@ double Clamp01(double x) { return std::min(1.0, std::max(0.0, x)); }
 std::vector<double> GeneticMaximize(
     size_t dim,
     const std::function<double(const std::vector<double>&)>& fitness,
-    util::Rng& rng, const GeneticOptions& options) {
+    util::Rng& rng, const GeneticOptions& options, util::ThreadPool* pool) {
   const int pop_size = options.population_size;
   std::vector<std::vector<double>> population(pop_size);
   std::vector<double> scores(pop_size);
@@ -21,7 +21,11 @@ std::vector<double> GeneticMaximize(
     genome.resize(dim);
     for (auto& g : genome) g = rng.NextDouble();
   }
-  for (int i = 0; i < pop_size; ++i) scores[i] = fitness(population[i]);
+  auto score_population = [&] {
+    util::ParallelFor(pool, population.size(),
+                      [&](size_t i) { scores[i] = fitness(population[i]); });
+  };
+  score_population();
 
   auto tournament = [&]() -> int {
     int best = static_cast<int>(rng.NextBounded(pop_size));
@@ -70,7 +74,7 @@ std::vector<double> GeneticMaximize(
       next.push_back(std::move(child));
     }
     population = std::move(next);
-    for (int i = 0; i < pop_size; ++i) scores[i] = fitness(population[i]);
+    score_population();
   }
 
   int best = 0;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ltee::ml {
 
@@ -25,9 +26,15 @@ struct GeneticOptions {
 /// Maximizes `fitness` over vectors in [0,1]^dim with tournament selection,
 /// blend (BLX-alpha) crossover and Gaussian mutation. Returns the best
 /// genome found.
+///
+/// Each generation's population is scored with util::ParallelFor on `pool`
+/// (inline when null), so `fitness` must be safe to call concurrently.
+/// Selection, crossover and mutation draw from `rng` serially, so the
+/// result is the same for any pool size.
 std::vector<double> GeneticMaximize(
     size_t dim, const std::function<double(const std::vector<double>&)>& fitness,
-    util::Rng& rng, const GeneticOptions& options = {});
+    util::Rng& rng, const GeneticOptions& options = {},
+    util::ThreadPool* pool = nullptr);
 
 }  // namespace ltee::ml
 

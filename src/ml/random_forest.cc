@@ -26,7 +26,36 @@ double Sse(const std::vector<double>& y, const std::vector<int>& idx,
   return s;
 }
 
+/// A feature value tagged with the training row it came from. The split
+/// search sorts these by value: the comparisons, and so std::sort's
+/// permutation, are the same as sorting row indices by `x[row][f]`.
+struct Keyed {
+  double value;
+  int row;
+};
+
 }  // namespace
+
+class RandomForestRegressor::Columns {
+ public:
+  explicit Columns(const std::vector<std::vector<double>>& rows)
+      : num_rows_(rows.size()) {
+    const size_t num_features = rows.empty() ? 0 : rows.front().size();
+    values_.resize(num_features * num_rows_);
+    for (size_t f = 0; f < num_features; ++f) {
+      for (size_t i = 0; i < num_rows_; ++i) {
+        values_[f * num_rows_ + i] = rows[i][f];
+      }
+    }
+  }
+  const double* column(int f) const {
+    return values_.data() + static_cast<size_t>(f) * num_rows_;
+  }
+
+ private:
+  size_t num_rows_;
+  std::vector<double> values_;
+};
 
 double RandomForestRegressor::Tree::PredictOne(
     const std::vector<double>& x) const {
@@ -39,7 +68,7 @@ double RandomForestRegressor::Tree::PredictOne(
 }
 
 int32_t RandomForestRegressor::BuildNode(
-    Tree& tree, const std::vector<std::vector<double>>& x,
+    Tree& tree, const Columns& x,
     const std::vector<double>& y, std::vector<int>& indices, int begin,
     int end, int depth, util::Rng& rng) {
   const int32_t node_id = static_cast<int32_t>(tree.nodes.size());
@@ -52,7 +81,6 @@ int32_t RandomForestRegressor::BuildNode(
                    count < 2 * options_.min_samples_leaf || node_sse <= 1e-12;
   int best_feature = -1;
   double best_threshold = 0.0, best_gain = 0.0;
-  int best_split_pos = -1;
 
   if (!make_leaf) {
     int mtry = options_.feature_fraction > 0.0
@@ -67,22 +95,27 @@ int32_t RandomForestRegressor::BuildNode(
     feature_order.resize(std::min<size_t>(feature_order.size(),
                                           static_cast<size_t>(mtry)));
 
-    std::vector<int> work(indices.begin() + begin, indices.begin() + end);
+    // Each feature's sort starts from the order the previous one left.
+    std::vector<Keyed> work(count);
+    for (int k = 0; k < count; ++k) work[k].row = indices[begin + k];
     for (int f : feature_order) {
-      std::sort(work.begin(), work.end(),
-                [&](int a, int b) { return x[a][f] < x[b][f]; });
+      const double* column = x.column(f);
+      for (Keyed& k : work) k.value = column[k.row];
+      std::sort(work.begin(), work.end(), [](const Keyed& a, const Keyed& b) {
+        return a.value < b.value;
+      });
       // Prefix sums for O(n) threshold scan.
       double left_sum = 0.0, left_sq = 0.0;
       double total_sum = 0.0, total_sq = 0.0;
-      for (int i : work) {
-        total_sum += y[i];
-        total_sq += y[i] * y[i];
+      for (const Keyed& k : work) {
+        total_sum += y[k.row];
+        total_sq += y[k.row] * y[k.row];
       }
       for (int pos = 1; pos < count; ++pos) {
-        const int i = work[pos - 1];
+        const int i = work[pos - 1].row;
         left_sum += y[i];
         left_sq += y[i] * y[i];
-        if (x[work[pos - 1]][f] == x[work[pos]][f]) continue;  // tied values
+        if (work[pos - 1].value == work[pos].value) continue;  // tied values
         const int nl = pos, nr = count - pos;
         if (nl < options_.min_samples_leaf || nr < options_.min_samples_leaf) {
           continue;
@@ -95,8 +128,7 @@ int32_t RandomForestRegressor::BuildNode(
         if (gain > best_gain + 1e-12) {
           best_gain = gain;
           best_feature = f;
-          best_threshold = 0.5 * (x[work[pos - 1]][f] + x[work[pos]][f]);
-          best_split_pos = pos;
+          best_threshold = 0.5 * (work[pos - 1].value + work[pos].value);
         }
       }
     }
@@ -108,13 +140,13 @@ int32_t RandomForestRegressor::BuildNode(
     tree.nodes[node_id].value = mean;
     return node_id;
   }
-  (void)best_split_pos;
 
   importances_[best_feature] += best_gain;
   // Partition indices[begin, end) by the chosen split.
+  const double* split_column = x.column(best_feature);
   int mid = begin;
   for (int i = begin; i < end; ++i) {
-    if (x[indices[i]][best_feature] <= best_threshold) {
+    if (split_column[indices[i]] <= best_threshold) {
       std::swap(indices[i], indices[mid]);
       ++mid;
     }
@@ -131,6 +163,12 @@ int32_t RandomForestRegressor::BuildNode(
 
 void RandomForestRegressor::Train(
     const std::vector<std::vector<double>>& features,
+    const std::vector<double>& targets, util::Rng& rng) {
+  Fit(features, Columns(features), targets, rng);
+}
+
+void RandomForestRegressor::Fit(
+    const std::vector<std::vector<double>>& features, const Columns& columns,
     const std::vector<double>& targets, util::Rng& rng) {
   trees_.clear();
   oob_indices_.clear();
@@ -155,7 +193,7 @@ void RandomForestRegressor::Train(
       in_bag[pick] = 1;
     }
     Tree tree;
-    BuildNode(tree, features, targets, sample, 0,
+    BuildNode(tree, columns, targets, sample, 0,
               static_cast<int>(sample.size()), 0, rng);
     std::vector<int> oob;
     for (size_t i = 0; i < n; ++i) {
@@ -197,19 +235,27 @@ double RandomForestRegressor::Predict(const std::vector<double>& x) const {
 double RandomForestRegressor::TuneBagFraction(
     const std::vector<std::vector<double>>& features,
     const std::vector<double>& targets, util::Rng& rng,
-    const std::vector<double>& candidates) {
-  double best_fraction = options_.bag_fraction;
-  double best_error = std::numeric_limits<double>::infinity();
+    const std::vector<double>& candidates, util::ThreadPool* pool) {
+  std::vector<RandomForestRegressor> trained;
+  std::vector<util::Rng> forks;
   for (double frac : candidates) {
     RandomForestOptions opts = options_;
     opts.bag_fraction = frac;
-    RandomForestRegressor candidate(opts);
-    util::Rng fork = rng.Fork();
-    candidate.Train(features, targets, fork);
-    if (candidate.OobError() < best_error) {
-      best_error = candidate.OobError();
-      best_fraction = frac;
-      *this = std::move(candidate);
+    trained.emplace_back(opts);
+    forks.push_back(rng.Fork());
+  }
+  const Columns columns(features);
+  util::ParallelFor(pool, candidates.size(), [&](size_t c) {
+    trained[c].Fit(features, columns, targets, forks[c]);
+  });
+
+  double best_fraction = options_.bag_fraction;
+  double best_error = std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (trained[c].OobError() < best_error) {
+      best_error = trained[c].OobError();
+      best_fraction = candidates[c];
+      *this = std::move(trained[c]);
     }
   }
   return best_fraction;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ltee::ml {
 
@@ -49,10 +50,14 @@ class RandomForestRegressor {
   }
 
   /// Tries each candidate bag fraction, keeps the model with the lowest
-  /// out-of-bag error, and returns the chosen fraction.
+  /// out-of-bag error (the first one on ties), and returns the chosen
+  /// fraction. Each candidate gets its own fork of `rng`, drawn in
+  /// candidate order; the candidates then train concurrently on `pool`
+  /// (inline when null), so the chosen model is the same for any pool size.
   double TuneBagFraction(const std::vector<std::vector<double>>& features,
                          const std::vector<double>& targets, util::Rng& rng,
-                         const std::vector<double>& candidates = {0.7, 1.0});
+                         const std::vector<double>& candidates = {0.7, 1.0},
+                         util::ThreadPool* pool = nullptr);
 
   bool trained() const { return !trees_.empty(); }
   const RandomForestOptions& options() const { return options_; }
@@ -69,8 +74,16 @@ class RandomForestRegressor {
     std::vector<Node> nodes;
     double PredictOne(const std::vector<double>& x) const;
   };
+  /// Transient column-major copy of the training features, so the split
+  /// search reads one contiguous array per feature.
+  class Columns;
 
-  int32_t BuildNode(Tree& tree, const std::vector<std::vector<double>>& x,
+  /// Train() on features already transposed into `columns`.
+  void Fit(const std::vector<std::vector<double>>& features,
+           const Columns& columns, const std::vector<double>& targets,
+           util::Rng& rng);
+
+  int32_t BuildNode(Tree& tree, const Columns& x,
                     const std::vector<double>& y, std::vector<int>& indices,
                     int begin, int end, int depth, util::Rng& rng);
 

@@ -8,7 +8,8 @@ namespace ltee::ml {
 
 void WeightedAverageModel::Train(const std::vector<Example>& examples,
                                  util::Rng& rng,
-                                 const GeneticOptions& options) {
+                                 const GeneticOptions& options,
+                                 util::ThreadPool* pool) {
   if (examples.empty()) return;
   const size_t num_metrics = examples.front().features.sims.size();
   // Genome: one weight per metric followed by the threshold.
@@ -27,7 +28,7 @@ void WeightedAverageModel::Train(const std::vector<Example>& examples,
     double r = tp + fn == 0 ? 0.0 : static_cast<double>(tp) / (tp + fn);
     return util::F1(p, r);
   };
-  auto genome = GeneticMaximize(num_metrics + 1, fitness, rng, options);
+  auto genome = GeneticMaximize(num_metrics + 1, fitness, rng, options, pool);
   weights_.assign(genome.begin(), genome.end() - 1);
   threshold_ = std::min(0.95, std::max(0.05, genome.back()));
 }

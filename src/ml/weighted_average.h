@@ -21,9 +21,11 @@ class WeightedAverageModel {
       : weights_(std::move(weights)), threshold_(threshold) {}
 
   /// Learns weights and the threshold with a genetic algorithm maximizing
-  /// matching F1 on `examples` (targets +1/-1).
+  /// matching F1 on `examples` (targets +1/-1). Genomes are scored on
+  /// `pool` (inline when null); the result does not depend on its size.
   void Train(const std::vector<Example>& examples, util::Rng& rng,
-             const GeneticOptions& options = {});
+             const GeneticOptions& options = {},
+             util::ThreadPool* pool = nullptr);
 
   /// Raw weighted average of the similarity scores, in [0, 1]. Missing
   /// similarities (-1) are excluded from both numerator and denominator.

@@ -223,7 +223,7 @@ std::vector<NewDetector::ScoredCandidate> NewDetector::ScoreCandidates(
 
 void NewDetector::Train(const std::vector<fusion::CreatedEntity>& entities,
                         const std::vector<DetectionLabel>& labels,
-                        util::Rng& rng) {
+                        util::Rng& rng, util::ThreadPool* pool) {
   // ---- 1. Pairwise aggregation training. --------------------------------
   std::vector<ml::Example> examples;
   for (size_t e = 0; e < entities.size(); ++e) {
@@ -247,7 +247,7 @@ void NewDetector::Train(const std::vector<fusion::CreatedEntity>& entities,
       examples.push_back(std::move(ex));
     }
   }
-  aggregator_.Train(std::move(examples), options_.aggregation, rng);
+  aggregator_.Train(std::move(examples), options_.aggregation, rng, pool);
 
   // ---- 2. Threshold sweeps. ----------------------------------------------
   struct EntityScore {

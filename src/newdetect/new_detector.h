@@ -13,6 +13,7 @@
 #include "kb/knowledge_base.h"
 #include "ml/aggregator.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ltee::newdetect {
 
@@ -79,8 +80,11 @@ class NewDetector {
                              double popularity_rank_score) const;
 
   /// Trains the aggregation and both thresholds from labeled entities.
+  /// The aggregator trains on `pool` (inline when null); the result does
+  /// not depend on its size.
   void Train(const std::vector<fusion::CreatedEntity>& entities,
-             const std::vector<DetectionLabel>& labels, util::Rng& rng);
+             const std::vector<DetectionLabel>& labels, util::Rng& rng,
+             util::ThreadPool* pool = nullptr);
 
   /// Classifies every entity.
   std::vector<Detection> Detect(

@@ -110,6 +110,7 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
   state.pipeline = std::make_unique<LteePipeline>(*kb_, options_);
   LteePipeline& pipeline = *state.pipeline;
   const webtable::PreparedCorpus& prepared = pipeline.Prepared(*gs_corpus_);
+  util::ThreadPool* pool = &pipeline.pool();
 
   // ---- Gold mapping over the GS corpus (all classes merged). -----------
   state.gold_mapping.tables.resize(gs_corpus_->size());
@@ -149,8 +150,8 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
     }
 
     // Train the row clusterer on learning rows.
-    pipeline.clusterer_for(gs.cls).Train(cf.gold_rows,
-                                         cf.learning_assignment, state.rng);
+    pipeline.clusterer_for(gs.cls).Train(
+        cf.gold_rows, cf.learning_assignment, state.rng, pool);
 
     // Train the new detector on gold-cluster entities of the learning set.
     auto creator = pipeline.MakeEntityCreator();
@@ -166,7 +167,7 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
       train_labels.push_back({cluster.is_new, cluster.kb_instance});
     }
     pipeline.detector_for(gs.cls).Train(train_entities, train_labels,
-                                        state.rng);
+                                        state.rng, pool);
 
     state.classes.push_back(std::move(cf));
   }
@@ -195,7 +196,8 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
 
   // ---- Schema matcher learning. -------------------------------------------
   pipeline.schema_matcher_first().Learn(prepared, state.learning_tables,
-                                        state.annotations, {}, state.rng);
+                                        state.annotations, {}, state.rng,
+                                        pool);
   // The refined matcher is learned against *system* feedback: a real
   // first-iteration run (first matcher + trained clusterers/detectors), so
   // its weights see the same noise they will face at inference.
@@ -214,7 +216,7 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
   system_feedback.preliminary = &mapping1;
   pipeline.schema_matcher_refined().Learn(prepared, state.learning_tables,
                                           state.annotations, system_feedback,
-                                          state.rng);
+                                          state.rng, pool);
 
   LTEE_LOG(kDebug) << "fold " << fold << " trained";
   return state;
@@ -322,7 +324,8 @@ GoldExperiment::ClusteringMetrics GoldExperiment::RowClustering(
       opts.aggregation = aggregation;
       opts.enable_blocking = blocking;
       rowcluster::RowClusterer clusterer(opts);
-      clusterer.Train(cf.gold_rows, cf.learning_assignment, state.rng);
+      clusterer.Train(cf.gold_rows, cf.learning_assignment, state.rng,
+                      &state.pipeline->pool());
 
       std::vector<bool> keep(cf.gold_rows.rows.size(), false);
       for (size_t i = 0; i < keep.size(); ++i) {
@@ -394,7 +397,8 @@ GoldExperiment::DetectionMetrics GoldExperiment::NewDetection(
         filtered_entities.push_back(std::move(train_entities[k]));
         labels.push_back({cluster.is_new, cluster.kb_instance});
       }
-      detector.Train(filtered_entities, labels, state.rng);
+      detector.Train(filtered_entities, labels, state.rng,
+                     &state.pipeline->pool());
 
       auto test_entities =
           GoldClusterEntities(cf.gold_rows, gs, cf.test_clusters,

@@ -33,7 +33,12 @@ LteePipeline::LteePipeline(const kb::KnowledgeBase& kb,
       *kb_, kb_index_, options_.schema);
 }
 
-util::ThreadPool& LteePipeline::Pool() const {
+util::ThreadPool& LteePipeline::pool() const {
+  std::unique_lock<std::mutex> lock(prepared_mu_);
+  return PoolLocked();
+}
+
+util::ThreadPool& LteePipeline::PoolLocked() const {
   if (pool_ == nullptr) {
     pool_ = std::make_unique<util::ThreadPool>(
         options_.num_threads > 0 ? static_cast<size_t>(options_.num_threads)
@@ -49,11 +54,11 @@ const webtable::PreparedCorpus& LteePipeline::Prepared(
   if (it != prepared_.end()) {
     // Delta ingestion appends tables to an already-prepared corpus; extend
     // the prepared view in place (token ids interned so far stay stable).
-    if (it->second->size() < corpus.size()) it->second->Append(&Pool());
+    if (it->second->size() < corpus.size()) it->second->Append(&PoolLocked());
     return *it->second;
   }
-  util::ThreadPool& pool = Pool();
-  auto built = std::make_unique<webtable::PreparedCorpus>(corpus, dict_, &pool);
+  auto built =
+      std::make_unique<webtable::PreparedCorpus>(corpus, dict_, &PoolLocked());
   it = prepared_.emplace(&corpus, std::move(built)).first;
   return *it->second;
 }
@@ -301,12 +306,7 @@ PipelineRunResult LteePipeline::RunScoped(const StageContext& ctx) const {
       util::trace::ScopedSpan classes_span("pipeline.class_sweep");
       classes_span.AddArg("iteration", static_cast<long long>(iteration + 1));
       classes_span.AddArg("in_scope", num_swept);
-      util::ThreadPool* pool = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(prepared_mu_);
-        pool = &Pool();
-      }
-      pool->ParallelFor(classes.size(), [&](size_t i) {
+      pool().ParallelFor(classes.size(), [&](size_t i) {
         if (swept[i] == 0) return;
         class_results[i] = RunClass(*ctx.corpus, mapping, classes[i]);
         classes_done_gauge.Add(1.0);

@@ -31,9 +31,10 @@ struct PipelineOptions {
   newdetect::NewDetectorOptions detection;
   /// Number of pipeline iterations; the paper shows two suffice (Table 6).
   int iterations = 2;
-  /// Worker threads for corpus preparation and per-class execution
-  /// (0 = hardware concurrency). Results are independent of this value:
-  /// classes are merged back in deterministic class order.
+  /// Worker threads for corpus preparation, per-class execution and model
+  /// training (0 = hardware concurrency). Results are independent of this
+  /// value: classes are merged back in deterministic class order, and
+  /// training parallelizes only work whose results land in fixed slots.
   int num_threads = 0;
 };
 
@@ -97,6 +98,10 @@ class LteePipeline {
   const webtable::PreparedCorpus& Prepared(
       const webtable::TableCorpus& corpus) const;
 
+  /// Worker pool (`options().num_threads` workers) shared by preparation,
+  /// per-class execution and training; created on first use. Thread-safe.
+  util::ThreadPool& pool() const;
+
   matching::SchemaMatcher& schema_matcher_first() { return *schema_first_; }
   matching::SchemaMatcher& schema_matcher_refined() {
     return *schema_refined_;
@@ -156,9 +161,8 @@ class LteePipeline {
                                  matching::RowClusterMap* clusters);
 
  private:
-  /// Worker pool shared by preparation and per-class execution, created on
-  /// first use (guarded by prepared_mu_).
-  util::ThreadPool& Pool() const;
+  /// pool() for callers already holding prepared_mu_.
+  util::ThreadPool& PoolLocked() const;
 
   const kb::KnowledgeBase* kb_;
   PipelineOptions options_;

@@ -2,6 +2,7 @@
 
 #include "pipeline/gold_artifacts.h"
 #include "util/logging.h"
+#include "util/trace.h"
 
 namespace ltee::pipeline {
 
@@ -22,6 +23,7 @@ void TrainPipelineOnGold(LteePipeline* pipeline,
   std::vector<matching::AttributeAnnotation> annotations;
 
   const webtable::PreparedCorpus& prepared = pipeline->Prepared(gs_corpus);
+  util::ThreadPool* pool = &pipeline->pool();
 
   for (const auto& gs : gold) {
     // Row set of the class under the gold mapping.
@@ -32,7 +34,12 @@ void TrainPipelineOnGold(LteePipeline* pipeline,
     for (size_t i = 0; i < rows.rows.size(); ++i) {
       assignment[i] = gs.ClusterOfRow(rows.rows[i].ref);
     }
-    pipeline->clusterer_for(gs.cls).Train(rows, assignment, rng);
+    {
+      util::trace::ScopedSpan span("train.rowcluster");
+      span.AddArg("class", static_cast<long long>(gs.cls));
+      span.AddArg("rows", rows.rows.size());
+      pipeline->clusterer_for(gs.cls).Train(rows, assignment, rng, pool);
+    }
 
     // New detector on gold-cluster entities.
     auto creator = pipeline->MakeEntityCreator();
@@ -49,7 +56,12 @@ void TrainPipelineOnGold(LteePipeline* pipeline,
       train_entities.push_back(std::move(entities[k]));
       labels.push_back({gs.clusters[k].is_new, gs.clusters[k].kb_instance});
     }
-    pipeline->detector_for(gs.cls).Train(train_entities, labels, rng);
+    {
+      util::trace::ScopedSpan span("train.newdetect");
+      span.AddArg("class", static_cast<long long>(gs.cls));
+      span.AddArg("entities", train_entities.size());
+      pipeline->detector_for(gs.cls).Train(train_entities, labels, rng, pool);
+    }
 
     for (webtable::TableId tid : gs.tables) all_tables.push_back(tid);
     for (const auto& attr : gs.attributes) {
@@ -57,8 +69,12 @@ void TrainPipelineOnGold(LteePipeline* pipeline,
     }
   }
 
-  pipeline->schema_matcher_first().Learn(prepared, all_tables, annotations,
-                                         {}, rng);
+  {
+    util::trace::ScopedSpan span("train.schema_match");
+    span.AddArg("iteration", 1);
+    pipeline->schema_matcher_first().Learn(prepared, all_tables, annotations,
+                                           {}, rng, pool);
+  }
   // Learn the refined matcher against real first-iteration system feedback
   // so its weights match inference-time conditions.
   auto mapping1 = pipeline->schema_matcher_first().Match(prepared);
@@ -74,8 +90,12 @@ void TrainPipelineOnGold(LteePipeline* pipeline,
   feedback.row_instances = &system_instances;
   feedback.row_clusters = &system_clusters;
   feedback.preliminary = &mapping1;
-  pipeline->schema_matcher_refined().Learn(prepared, all_tables, annotations,
-                                           feedback, rng);
+  {
+    util::trace::ScopedSpan span("train.schema_match");
+    span.AddArg("iteration", 2);
+    pipeline->schema_matcher_refined().Learn(prepared, all_tables,
+                                             annotations, feedback, rng, pool);
+  }
   LTEE_LOG(kInfo) << "pipeline trained on full gold standard";
 }
 

@@ -60,7 +60,7 @@ std::vector<std::vector<int32_t>> RowClusterer::BuildBlocks(
 
 void RowClusterer::Train(const ClassRowSet& rows,
                          const std::vector<int>& gold_cluster_of_row,
-                         util::Rng& rng) {
+                         util::Rng& rng, util::ThreadPool* pool) {
   RowMetricBank bank(rows, options_.enabled_metrics);
   const auto blocks = BuildBlocks(rows);
 
@@ -124,7 +124,7 @@ void RowClusterer::Train(const ClassRowSet& rows,
     add_pair(i, j, false);
   }
 
-  aggregator_.Train(std::move(examples), options_.aggregation, rng);
+  aggregator_.Train(std::move(examples), options_.aggregation, rng, pool);
 
   // ---- Cluster-level threshold calibration ------------------------------
   // Pairwise training calibrates the sign of individual pair scores, but

@@ -7,6 +7,7 @@
 #include "ml/aggregator.h"
 #include "rowcluster/row_metrics.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ltee::rowcluster {
 
@@ -44,9 +45,11 @@ class RowClusterer {
   /// holds, per row of `rows`, the annotated cluster id (-1 for rows not
   /// annotated — those generate no pairs). Positive pairs are same-cluster
   /// pairs; negatives are block-sharing pairs from different clusters,
-  /// upsampled to balance.
+  /// upsampled to balance. The aggregator trains on `pool` (inline when
+  /// null); the result does not depend on its size.
   void Train(const ClassRowSet& rows,
-             const std::vector<int>& gold_cluster_of_row, util::Rng& rng);
+             const std::vector<int>& gold_cluster_of_row, util::Rng& rng,
+             util::ThreadPool* pool = nullptr);
 
   /// Clusters the rows; requires Train() (or an injected aggregator).
   cluster::ClusteringResult Cluster(const ClassRowSet& rows) const;

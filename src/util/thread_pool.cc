@@ -140,6 +140,15 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   }
 }
 
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
 bool ThreadPool::RunOneTask() {
   std::function<void()> task;
   {

@@ -12,8 +12,10 @@
 
 namespace ltee::util {
 
-/// Fixed-size worker pool used by the parallel greedy clustering step.
-/// Kept deliberately simple: submit void() tasks, wait for drain.
+/// Fixed-size worker pool shared by the parallel stages: corpus
+/// preparation, the per-class pipeline sweep, greedy clustering and model
+/// training (GA fitness, bag-fraction candidates). Kept deliberately
+/// simple: submit void() tasks, wait for drain.
 class ThreadPool {
  public:
   /// `num_threads` == 0 selects hardware concurrency (at least 1).
@@ -55,6 +57,12 @@ class ThreadPool {
   size_t in_flight_ = 0;
   bool stop_ = false;
 };
+
+/// `pool->ParallelFor(n, fn)`, or the same loop inline on the calling
+/// thread when `pool` is null. Callers that must produce identical results
+/// for any thread count write each `fn(i)` result to its own slot.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn);
 
 }  // namespace ltee::util
 

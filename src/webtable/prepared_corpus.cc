@@ -123,11 +123,7 @@ PreparedCorpus::PreparedCorpus(const TableCorpus& corpus,
     PrepareTable(corpus.table(static_cast<TableId>(t)), dict_.get(),
                  &tables_[t]);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(tables_.size(), prepare_one);
-  } else {
-    for (size_t t = 0; t < tables_.size(); ++t) prepare_one(t);
-  }
+  util::ParallelFor(pool, tables_.size(), prepare_one);
   size_t cells = 0;
   for (const PreparedTable& table : tables_) cells += table.cells.size();
   span.AddArg("cells", cells);
@@ -152,11 +148,7 @@ std::vector<TableId> PreparedCorpus::Append(util::ThreadPool* pool) {
                  &tables_[t]);
   };
   const size_t appended = tables_.size() - old_size;
-  if (pool != nullptr) {
-    pool->ParallelFor(appended, prepare_one);
-  } else {
-    for (size_t i = 0; i < appended; ++i) prepare_one(i);
-  }
+  util::ParallelFor(pool, appended, prepare_one);
   std::vector<TableId> new_ids;
   new_ids.reserve(appended);
   size_t cells = 0;

@@ -9,6 +9,7 @@
 #include "ml/genetic.h"
 #include "ml/random_forest.h"
 #include "ml/weighted_average.h"
+#include "util/thread_pool.h"
 
 namespace ltee::ml {
 namespace {
@@ -248,6 +249,110 @@ TEST(AggregatorTest, MetricImportancesSumToOne) {
   // The informative metric should dominate.
   EXPECT_GT(importances[1], importances[0]);
   EXPECT_GT(importances[1], importances[2]);
+}
+
+// ---------------------------------------------------------------------------
+// Thread-count determinism: every trainer that takes a pool must produce
+// bit-identical output inline, on one worker and on four.
+// ---------------------------------------------------------------------------
+
+/// Runs `train(pool)` inline, on a 1-thread pool and on a 4-thread pool,
+/// and returns the three results in that order.
+template <typename Fn>
+auto TrainAtEachThreadCount(Fn train) {
+  util::ThreadPool one(1), four(4);
+  return std::vector{train(nullptr), train(&one), train(&four)};
+}
+
+std::vector<Example> NoisyExamples(int n, size_t num_metrics, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Example> examples;
+  for (int i = 0; i < n; ++i) {
+    Example ex;
+    double sum = 0.0;
+    for (size_t m = 0; m < num_metrics; ++m) {
+      const double sim = rng.NextDouble() < 0.1 ? -1.0 : rng.NextDouble();
+      ex.features.sims.push_back(sim);
+      ex.features.confs.push_back(rng.NextDouble());
+      sum += sim * static_cast<double>(m + 1);
+    }
+    ex.target = sum + 0.5 * rng.NextGaussian() > 2.0 ? 1.0 : -1.0;
+    examples.push_back(std::move(ex));
+  }
+  return examples;
+}
+
+TEST(ThreadCountDeterminismTest, GeneticMaximizeReturnsSameGenome) {
+  auto fitness = [](const std::vector<double>& g) {
+    return std::sin(7.0 * g[0]) * std::cos(5.0 * g[1]) - 0.3 * g[2] * g[2];
+  };
+  const auto genomes = TrainAtEachThreadCount([&](util::ThreadPool* pool) {
+    util::Rng rng(21);
+    return GeneticMaximize(3, fitness, rng, {}, pool);
+  });
+  EXPECT_EQ(genomes[0], genomes[1]);
+  EXPECT_EQ(genomes[0], genomes[2]);
+}
+
+TEST(ThreadCountDeterminismTest, TuneBagFractionChoosesSameForest) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (const Example& ex : NoisyExamples(600, 3, 22)) {
+    x.push_back(FlattenForForest(ex.features));
+    y.push_back(ex.target);
+  }
+  std::vector<std::vector<double>> probe;
+  for (const Example& ex : NoisyExamples(50, 3, 23)) {
+    probe.push_back(FlattenForForest(ex.features));
+  }
+  struct Outcome {
+    double fraction;
+    double oob_error;
+    std::vector<double> importances;
+    std::vector<double> predictions;
+  };
+  const auto outcomes = TrainAtEachThreadCount([&](util::ThreadPool* pool) {
+    RandomForestOptions options;
+    options.num_trees = 12;
+    RandomForestRegressor forest(options);
+    util::Rng rng(24);
+    Outcome out;
+    out.fraction = forest.TuneBagFraction(x, y, rng, {0.6, 0.8, 1.0}, pool);
+    out.oob_error = forest.OobError();
+    out.importances = forest.FeatureImportances();
+    for (const auto& row : probe) out.predictions.push_back(forest.Predict(row));
+    return out;
+  });
+  for (size_t k = 1; k < outcomes.size(); ++k) {
+    EXPECT_EQ(outcomes[k].fraction, outcomes[0].fraction);
+    EXPECT_EQ(outcomes[k].oob_error, outcomes[0].oob_error);
+    EXPECT_EQ(outcomes[k].importances, outcomes[0].importances);
+    EXPECT_EQ(outcomes[k].predictions, outcomes[0].predictions);
+  }
+}
+
+TEST(ThreadCountDeterminismTest, CombinedAggregatorScoresIdentically) {
+  const auto examples = NoisyExamples(400, 4, 25);
+  const auto probe = NoisyExamples(60, 4, 26);
+  struct Outcome {
+    std::vector<double> scores;
+    std::vector<double> importances;
+  };
+  const auto outcomes = TrainAtEachThreadCount([&](util::ThreadPool* pool) {
+    ScoreAggregator aggregator;
+    util::Rng rng(27);
+    aggregator.Train(examples, AggregationKind::kCombined, rng, pool);
+    Outcome out;
+    for (const Example& ex : probe) {
+      out.scores.push_back(aggregator.Score(ex.features));
+    }
+    out.importances = aggregator.MetricImportances();
+    return out;
+  });
+  for (size_t k = 1; k < outcomes.size(); ++k) {
+    EXPECT_EQ(outcomes[k].scores, outcomes[0].scores);
+    EXPECT_EQ(outcomes[k].importances, outcomes[0].importances);
+  }
 }
 
 // ---------------------------------------------------------------------------

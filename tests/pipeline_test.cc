@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "pipeline/gold_artifacts.h"
 #include "pipeline/pipeline.h"
@@ -72,25 +73,29 @@ TEST(KbLabelIndexTest, FindsInstancesByLabel) {
   EXPECT_TRUE(found);
 }
 
-/// End-to-end: trained pipeline over the gold-standard corpus. Built once.
+/// End-to-end: trained pipeline over the gold-standard corpus.
 struct TrainedRun {
   std::unique_ptr<LteePipeline> pipeline;
   PipelineRunResult run;
 };
 
+/// Trains on the shared dataset's gold standard (Rng 41, the golden seed)
+/// and runs every gold class over the gold-standard corpus.
+std::unique_ptr<TrainedRun> TrainAndRun(PipelineOptions options) {
+  const auto& ds = SharedDataset();
+  auto s = std::make_unique<TrainedRun>();
+  s->pipeline = std::make_unique<LteePipeline>(ds.kb, options);
+  util::Rng rng(41);
+  TrainPipelineOnGold(s->pipeline.get(), ds.gs_corpus, ds.gold, rng);
+  std::vector<kb::ClassId> classes;
+  for (const auto& gs : ds.gold) classes.push_back(gs.cls);
+  s->run = s->pipeline->Run(ds.gs_corpus, classes);
+  return s;
+}
+
+/// Built once with default options.
 const TrainedRun& SharedRun() {
-  static const TrainedRun* state = [] {
-    const auto& ds = SharedDataset();
-    auto* s = new TrainedRun;
-    PipelineOptions options;
-    s->pipeline = std::make_unique<LteePipeline>(ds.kb, options);
-    util::Rng rng(41);
-    TrainPipelineOnGold(s->pipeline.get(), ds.gs_corpus, ds.gold, rng);
-    std::vector<kb::ClassId> classes;
-    for (const auto& gs : ds.gold) classes.push_back(gs.cls);
-    s->run = s->pipeline->Run(ds.gs_corpus, classes);
-    return s;
-  }();
+  static const TrainedRun* state = TrainAndRun({}).release();
   return *state;
 }
 
@@ -158,20 +163,14 @@ TEST(PipelineTest, FeedbackMapsCoverClusteredRows) {
   EXPECT_GT(instances.size(), 0u);
 }
 
-// Golden regression: the fixed-seed run must stay byte-identical to the
-// checked-in summary (tools/golden_pipeline regenerates it; see also
-// LTEE_REGEN_GOLDEN below). This pins down the determinism contract of the
-// prepared-corpus layer and the parallel per-class execution: interning
-// order and thread schedule must not leak into results.
-TEST(PipelineTest, RunMatchesGoldenSummary) {
-  const std::string golden_path =
-      std::string(LTEE_GOLDEN_DIR) + "/pipeline_summary.txt";
-  const std::string summary = SummarizeRun(SharedRun().run);
-  if (std::getenv("LTEE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path, std::ios::binary);
-    out << summary;
-    GTEST_SKIP() << "regenerated " << golden_path;
-  }
+std::string GoldenPath() {
+  return std::string(LTEE_GOLDEN_DIR) + "/pipeline_summary.txt";
+}
+
+/// Compares `summary` with the checked-in golden summary, reporting the
+/// first divergence rather than dumping half a megabyte of text.
+void ExpectMatchesGolden(const std::string& summary) {
+  const std::string golden_path = GoldenPath();
   std::ifstream in(golden_path, std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing golden summary: " << golden_path;
   std::stringstream buffer;
@@ -180,7 +179,6 @@ TEST(PipelineTest, RunMatchesGoldenSummary) {
   ASSERT_EQ(summary.size(), golden.size())
       << "summary size drifted; run tools/golden_pipeline or set "
          "LTEE_REGEN_GOLDEN=1 if the change is intentional";
-  // Avoid dumping half a megabyte on failure: report the first divergence.
   if (summary != golden) {
     size_t pos = 0;
     while (pos < summary.size() && summary[pos] == golden[pos]) ++pos;
@@ -188,6 +186,32 @@ TEST(PipelineTest, RunMatchesGoldenSummary) {
                                 golden.begin(), golden.begin() + pos, '\n'));
     FAIL() << "summary diverges from golden at byte " << pos << " (line "
            << line << ")";
+  }
+}
+
+// Golden regression: the fixed-seed run must stay byte-identical to the
+// checked-in summary (tools/golden_pipeline regenerates it; see also
+// LTEE_REGEN_GOLDEN below). This pins down the determinism contract of the
+// prepared-corpus layer and the parallel per-class execution: interning
+// order and thread schedule must not leak into results.
+TEST(PipelineTest, RunMatchesGoldenSummary) {
+  const std::string summary = SummarizeRun(SharedRun().run);
+  if (std::getenv("LTEE_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(GoldenPath(), std::ios::binary);
+    out << summary;
+    GTEST_SKIP() << "regenerated " << GoldenPath();
+  }
+  ExpectMatchesGolden(summary);
+}
+
+// Training and the class sweep share the pipeline pool; neither may let the
+// pool size leak into results.
+TEST(PipelineTest, GoldenSummaryIndependentOfThreadCount) {
+  for (int num_threads : {1, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
+    PipelineOptions options;
+    options.num_threads = num_threads;
+    ExpectMatchesGolden(SummarizeRun(TrainAndRun(options)->run));
   }
 }
 

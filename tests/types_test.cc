@@ -41,6 +41,12 @@ struct DateCase {
   DateGranularity granularity;
 };
 
+// Without a printer gtest dumps the raw bytes of the case, pointer included,
+// so the discovered test names would change with every process start.
+void PrintTo(const DateCase& c, std::ostream* os) {
+  *os << '"' << c.input << '"';
+}
+
 class DateParseTest : public ::testing::TestWithParam<DateCase> {};
 
 TEST_P(DateParseTest, ParsesSurfaceForm) {
@@ -181,6 +187,11 @@ struct EqualityCase {
   Value a, b;
   bool equal;
 };
+
+void PrintTo(const EqualityCase& c, std::ostream* os) {
+  *os << DataTypeName(c.a.type) << " \"" << c.a.ToString() << "\" vs \""
+      << c.b.ToString() << "\" " << (c.equal ? "equal" : "unequal");
+}
 
 class ValuesEqualTest : public ::testing::TestWithParam<EqualityCase> {};
 
