@@ -10,6 +10,12 @@ namespace ltee::cluster {
 
 namespace {
 
+/// Worker threads of the greedy phase's pool (0 = hardware concurrency).
+constexpr size_t kGreedyThreads = 0;
+
+/// Maximum KLj improvement sweeps.
+constexpr int kMaxKljPasses = 4;
+
 /// Mutable clustering state shared by both phases.
 struct State {
   std::vector<int> cluster_of;                 // item -> cluster id
@@ -51,7 +57,7 @@ ClusteringResult ClusterCorrelation(
   // block id -> clusters currently containing an item of that block.
   std::unordered_map<int32_t, std::vector<int>> clusters_by_block;
 
-  util::ThreadPool pool(options.num_threads);
+  util::ThreadPool pool(kGreedyThreads);
 
   // ---- Phase 1: parallel greedy assignment -----------------------------
   size_t next = 0;
@@ -110,7 +116,7 @@ ClusteringResult ClusterCorrelation(
   // ---- Phase 2: KLj refinement -----------------------------------------
   int operations = 0;
   if (options.enable_klj) {
-    for (int pass = 0; pass < options.max_klj_passes; ++pass) {
+    for (int pass = 0; pass < kMaxKljPasses; ++pass) {
       bool changed = false;
 
       // (a) Splits: an item whose summed similarity to the rest of its

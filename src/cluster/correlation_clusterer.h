@@ -7,21 +7,20 @@
 
 namespace ltee::cluster {
 
-/// Pairwise similarity callback over item indices; must be symmetric and
-/// return values in [-1, 1] (positive = same entity). Called concurrently
-/// from worker threads during the greedy phase, so it must be thread-safe.
+/// Pairwise similarity callback over item indices, returning values in
+/// [-1, 1] (positive = same entity). Symmetry is not required: the
+/// clusterer calls it in whichever argument order a phase reaches the pair,
+/// so a callback that memoizes pairs keeps the score of the first call.
+/// Called concurrently from worker threads during the greedy phase, so it
+/// must be thread-safe.
 using SimilarityFn = std::function<double(int, int)>;
 
 /// Options of the two-phase correlation clustering (Section 3.2).
 struct ClusteringOptions {
-  /// Worker threads for the parallel greedy phase (0 = hardware).
-  size_t num_threads = 0;
   /// Items per parallel batch; within one batch assignments are computed
   /// against a frozen snapshot of the clustering (the controlled source of
   /// "errors during clustering" the KLj phase repairs).
   size_t batch_size = 256;
-  /// Maximum KLj improvement sweeps.
-  int max_klj_passes = 4;
   /// Upper bound on clusters examined per item in the greedy phase
   /// (blocking already restricts candidates; this is a safety cap).
   size_t max_candidate_clusters = 64;
@@ -44,16 +43,20 @@ struct ClusteringResult {
 /// are scanned in batches; each item is assigned to the existing cluster
 /// with the highest positive summed similarity to the cluster's members,
 /// or to a fresh singleton cluster when no sum is positive. Batches are
-/// evaluated in parallel against a snapshot, then applied sequentially.
+/// evaluated in parallel against a snapshot, on a hardware-sized pool owned
+/// by the call, then applied sequentially.
 ///
 /// Phase 2 (KLj, Keuper et al.): repeatedly considers block-sharing
 /// cluster pairs and applies whole-cluster merges and single-item moves,
 /// plus splits of items whose contribution to their cluster is negative,
-/// until no operation improves the fitness.
+/// until no operation improves the fitness (at most four sweeps).
 ///
 /// `blocks_of[i]` lists the block ids of item i (sorted not required).
-/// Only items sharing at least one block are ever compared; pass every
-/// item a common block to disable blocking.
+/// Blocks restrict which *clusters* are candidates: an item is only tested
+/// against clusters holding an item of one of its blocks, and only
+/// block-sharing cluster pairs are tried in KLj. A tested cluster is
+/// scored over all its members, so pairs sharing no block are compared
+/// too. Pass every item a common block to disable blocking.
 ClusteringResult ClusterCorrelation(
     size_t num_items, const SimilarityFn& similarity,
     const std::vector<std::vector<int32_t>>& blocks_of,

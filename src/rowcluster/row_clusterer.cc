@@ -2,21 +2,33 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "index/label_index.h"
 #include "prov/ledger.h"
-#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace ltee::rowcluster {
+
+namespace {
+
+/// Similar labels retrieved per row to form its block set.
+constexpr size_t kBlockingCandidates = 10;
+
+/// Cap on training pairs sampled per class.
+constexpr size_t kMaxTrainingPairs = 20000;
+
+/// Pair scores with |score| below this margin count as near-threshold
+/// decisions (the `ltee.prov.cluster_decisions_near_threshold` quality
+/// counter): the correlation clusterer merges on sign, so these are the
+/// pairs a small quality drift can flip.
+constexpr double kNearThresholdMargin = 0.1;
+
+}  // namespace
 
 RowClusterer::RowClusterer(RowClustererOptions options)
     : options_(std::move(options)) {}
@@ -47,7 +59,7 @@ std::vector<std::vector<int32_t>> RowClusterer::BuildBlocks(
     const auto& row = rows.rows[i];
     blocks[i].push_back(block_of_label[row.normalized_label]);
     for (const auto& hit : label_index.Search(row.label_tokens,
-                                              options_.blocking_candidates)) {
+                                              kBlockingCandidates)) {
       const int32_t block = static_cast<int32_t>(hit.doc);
       if (std::find(blocks[i].begin(), blocks[i].end(), block) ==
           blocks[i].end()) {
@@ -90,7 +102,7 @@ void RowClusterer::Train(const ClassRowSet& rows,
   for (const auto& [cluster, members] : rows_by_cluster) {
     for (size_t i = 0; i < members.size(); ++i) {
       for (size_t j = i + 1; j < members.size(); ++j) {
-        if (examples.size() >= options_.max_training_pairs) break;
+        if (examples.size() >= kMaxTrainingPairs) break;
         add_pair(members[i], members[j], true);
       }
     }
@@ -105,7 +117,7 @@ void RowClusterer::Train(const ClassRowSet& rows,
       for (size_t j = i + 1; j < members.size(); ++j) {
         const int cj = gold_cluster_of_row[members[j]];
         if (cj < 0 || ci == cj) continue;
-        if (examples.size() >= options_.max_training_pairs) break;
+        if (examples.size() >= kMaxTrainingPairs) break;
         add_pair(members[i], members[j], false);
       }
     }
@@ -153,10 +165,11 @@ void RowClusterer::Train(const ClassRowSet& rows,
   double best_objective = -1.0;
   double best_offset = 0.0;
   const RowMetricBank learning_bank(learning_rows, options_.enabled_metrics);
+  const auto learning_blocks = BuildBlocks(learning_rows);
   for (double offset : {-0.1, 0.0, 0.1, 0.25}) {
-    const auto result = ClusterWithOffset(learning_rows, learning_bank,
-                                          offset,
-                                          /*count_near_threshold=*/false);
+    const auto result =
+        ClusterWithOffset(learning_rows, learning_bank, learning_blocks,
+                          offset, /*count_near_threshold=*/false);
     // Pairwise precision/recall over annotated rows.
     long long tp = 0, fp = 0, fn = 0;
     for (size_t i = 0; i < learning_gold.size(); ++i) {
@@ -187,8 +200,9 @@ void RowClusterer::Train(const ClassRowSet& rows,
 cluster::ClusteringResult RowClusterer::Cluster(
     const ClassRowSet& rows) const {
   RowMetricBank bank(rows, options_.enabled_metrics);
-  cluster::ClusteringResult result = ClusterWithOffset(
-      rows, bank, score_offset_, /*count_near_threshold=*/true);
+  cluster::ClusteringResult result =
+      ClusterWithOffset(rows, bank, BuildBlocks(rows), score_offset_,
+                        /*count_near_threshold=*/true);
   if (prov::IsEnabled()) RecordClusterDecisions(rows, bank, result);
   if (result.num_clusters > 0) {
     std::vector<uint64_t> sizes(static_cast<size_t>(result.num_clusters), 0);
@@ -204,18 +218,15 @@ cluster::ClusteringResult RowClusterer::Cluster(
 
 namespace {
 
-/// Above this row count the dense pair-score table (n^2/2 doubles) is no
-/// longer worth its memory; fall back to the memoized hash cache.
-constexpr size_t kDensePairLimit = 4096;
+/// Marks a pair-score slot that is not filled yet. Scores are clamped to
+/// [-1, 1], so no score equals it; a NaN score, which the clamp passes
+/// through, is memoized like any other.
+constexpr double kUnscored = 2.0;
 
 /// Index of pair (i, j), i < j, in an upper-triangular row-major layout.
 inline size_t TriIndex(size_t i, size_t j, size_t n) {
   return i * (2 * n - i - 1) / 2 + (j - i - 1);
 }
-
-}  // namespace
-
-namespace {
 
 /// Call-local pair-cache tallies. Lookups bump these relaxed atomics (one
 /// shared struct per ClusterWithOffset call, so contention stays within
@@ -259,112 +270,52 @@ void FlushPairCacheStats(const PairCacheStats& stats,
 }  // namespace
 
 cluster::ClusteringResult RowClusterer::ClusterWithOffset(
-    const ClassRowSet& rows, const RowMetricBank& bank, double offset,
+    const ClassRowSet& rows, const RowMetricBank& bank,
+    const std::vector<std::vector<int32_t>>& blocks, double offset,
     bool count_near_threshold) const {
-  const auto blocks = BuildBlocks(rows);
   const size_t n = rows.rows.size();
-  const auto* aggregator = &aggregator_;
-  auto score_pair = [&bank, aggregator, offset](int i, int j) -> double {
-    return std::clamp(aggregator->Score(bank.Compare(i, j)) + offset, -1.0,
-                      1.0);
-  };
-
   util::trace::ScopedSpan span("rowcluster.cluster");
   span.AddArg("rows", n);
-  auto stats = std::make_shared<PairCacheStats>();
-  const double near_margin = options_.near_threshold_margin;
-  auto tally_near = [stats, near_margin](double s) {
-    if (s > -near_margin && s < near_margin) {
-      stats->near_threshold.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
 
   // The greedy and KLj phases revisit pairs many times. Each pair score is
-  // a pure function of (i, j), so for moderate row counts a lazy dense
-  // triangular cache serves repeat lookups lock-free: NaN marks "not yet
-  // computed", and a racing duplicate computation stores the identical
+  // a pure function of (i, j), so a lazy triangular table serves repeat
+  // lookups lock-free: a racing duplicate computation stores the identical
   // value, so no synchronization beyond the atomic slot is needed.
-  if (n >= 2 && n <= kDensePairLimit) {
-    const size_t num_pairs = n * (n - 1) / 2;
-    const size_t dense_bytes = num_pairs * sizeof(std::atomic<double>);
-    span.AddArg("pair_cache", "dense");
-    span.AddArg("dense_bytes", dense_bytes);
-    util::Metrics()
-        .GetGauge("ltee.rowcluster.pair_cache.dense_bytes")
-        .Max(static_cast<double>(dense_bytes));
-    if (dense_bytes > options_.dense_cache_byte_budget) {
-      LTEE_LOG(kWarning) << "dense pair cache for " << n << " rows needs "
-                         << dense_bytes << " bytes, over the configured "
-                         << "budget of " << options_.dense_cache_byte_budget
-                         << " bytes; allocating anyway (raise "
-                         << "RowClustererOptions::dense_cache_byte_budget "
-                         << "to silence)";
-    }
-    auto scores =
-        std::make_shared<std::unique_ptr<std::atomic<double>[]>>(
-            new std::atomic<double>[num_pairs]);
-    for (size_t k = 0; k < num_pairs; ++k) {
-      (*scores)[k].store(std::numeric_limits<double>::quiet_NaN(),
-                         std::memory_order_relaxed);
-    }
-    auto similarity = [scores, score_pair, stats, tally_near,
-                       n](int i, int j) -> double {
-      const size_t lo = static_cast<size_t>(std::min(i, j));
-      const size_t hi = static_cast<size_t>(std::max(i, j));
-      std::atomic<double>& slot = (*scores)[TriIndex(lo, hi, n)];
-      double s = slot.load(std::memory_order_relaxed);
-      if (!std::isnan(s)) {
-        stats->hits.fetch_add(1, std::memory_order_relaxed);
-        return s;
-      }
-      stats->misses.fetch_add(1, std::memory_order_relaxed);
-      // Caller argument order matters: ATTRIBUTE and IMPLICIT_ATT are not
-      // perfectly symmetric, and the cached value has always been the one
-      // computed at the pair's first encounter.
-      s = score_pair(i, j);
-      tally_near(s);
-      slot.store(s, std::memory_order_relaxed);
-      return s;
-    };
-    auto result = cluster::ClusterCorrelation(n, similarity, blocks,
-                                              options_.clustering);
-    FlushPairCacheStats(*stats, count_near_threshold);
-    span.AddArg("clusters", static_cast<long long>(result.num_clusters));
-    return result;
+  const size_t num_pairs = n < 2 ? 0 : n * (n - 1) / 2;
+  const size_t dense_bytes = num_pairs * sizeof(std::atomic<double>);
+  span.AddArg("dense_bytes", dense_bytes);
+  util::Metrics()
+      .GetGauge("ltee.rowcluster.pair_cache.dense_bytes")
+      .Max(static_cast<double>(dense_bytes));
+  std::unique_ptr<std::atomic<double>[]> scores(
+      new std::atomic<double>[num_pairs]);
+  for (size_t k = 0; k < num_pairs; ++k) {
+    scores[k].store(kUnscored, std::memory_order_relaxed);
   }
-
-  // Memoized, thread-safe pair score cache for large row sets.
-  span.AddArg("pair_cache", "hashed");
-  struct Cache {
-    std::unordered_map<uint64_t, double> scores;
-    std::mutex mu;
-  };
-  auto cache = std::make_shared<Cache>();
-  auto similarity = [cache, score_pair, stats, tally_near](int i,
-                                                           int j) -> double {
-    const uint64_t key = (static_cast<uint64_t>(std::min(i, j)) << 32) |
-                         static_cast<uint64_t>(std::max(i, j));
-    {
-      std::lock_guard<std::mutex> lock(cache->mu);
-      auto it = cache->scores.find(key);
-      if (it != cache->scores.end()) {
-        stats->hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+  PairCacheStats stats;
+  auto similarity = [&](int i, int j) -> double {
+    const size_t lo = static_cast<size_t>(std::min(i, j));
+    const size_t hi = static_cast<size_t>(std::max(i, j));
+    std::atomic<double>& slot = scores[TriIndex(lo, hi, n)];
+    double s = slot.load(std::memory_order_relaxed);
+    if (s != kUnscored) {
+      stats.hits.fetch_add(1, std::memory_order_relaxed);
+      return s;
     }
-    stats->misses.fetch_add(1, std::memory_order_relaxed);
-    const double score = score_pair(i, j);
-    tally_near(score);
-    {
-      std::lock_guard<std::mutex> lock(cache->mu);
-      cache->scores.emplace(key, score);
+    stats.misses.fetch_add(1, std::memory_order_relaxed);
+    // Caller argument order matters: ATTRIBUTE and IMPLICIT_ATT are not
+    // perfectly symmetric, and the cached value has always been the one
+    // computed at the pair's first encounter.
+    s = std::clamp(aggregator_.Score(bank.Compare(i, j)) + offset, -1.0, 1.0);
+    if (s > -kNearThresholdMargin && s < kNearThresholdMargin) {
+      stats.near_threshold.fetch_add(1, std::memory_order_relaxed);
     }
-    return score;
+    slot.store(s, std::memory_order_relaxed);
+    return s;
   };
-
   auto result = cluster::ClusterCorrelation(n, similarity, blocks,
                                             options_.clustering);
-  FlushPairCacheStats(*stats, count_near_threshold);
+  FlushPairCacheStats(stats, count_near_threshold);
   span.AddArg("clusters", static_cast<long long>(result.num_clusters));
   return result;
 }

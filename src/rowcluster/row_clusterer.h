@@ -17,21 +17,7 @@ struct RowClustererOptions {
   std::vector<bool> enabled_metrics = FirstKMetrics(kNumRowMetrics);
   ml::AggregationKind aggregation = ml::AggregationKind::kCombined;
   cluster::ClusteringOptions clustering;
-  /// Similar labels retrieved per row to form its block set.
-  size_t blocking_candidates = 10;
   bool enable_blocking = true;
-  /// Cap on training pairs sampled per class.
-  size_t max_training_pairs = 20000;
-  /// Byte budget for the lazy dense pair-score cache. Exceeding it only
-  /// logs a warning (the cache is still allocated — correctness does not
-  /// depend on the budget), and the footprint is exported as the
-  /// `ltee.rowcluster.pair_cache.dense_bytes` gauge.
-  size_t dense_cache_byte_budget = 64u << 20;
-  /// Pair scores with |score| below this margin count as near-threshold
-  /// decisions (the `ltee.prov.cluster_decisions_near_threshold` quality
-  /// counter): the correlation clusterer merges on sign, so these are the
-  /// pairs a small quality drift can flip.
-  double near_threshold_margin = 0.1;
 };
 
 /// Row clustering (Section 3.2): a learned aggregation of six similarity
@@ -79,11 +65,14 @@ class RowClusterer {
   /// `count_near_threshold` flushes the near-threshold tally into the
   /// quality counters; inference passes true, the Train() calibration
   /// sweep false (calibration probes must not skew the drift gauges).
-  /// `bank` must be built over `rows`; callers construct it once and
-  /// share it across the calibration sweep / the provenance pass.
+  /// `bank` and `blocks` (from BuildBlocks) must be built over `rows`;
+  /// callers build both once per row set: the calibration sweep reuses
+  /// them for every offset, and Cluster() shares the bank with the
+  /// provenance pass.
   cluster::ClusteringResult ClusterWithOffset(
-      const ClassRowSet& rows, const RowMetricBank& bank, double offset,
-      bool count_near_threshold = false) const;
+      const ClassRowSet& rows, const RowMetricBank& bank,
+      const std::vector<std::vector<int32_t>>& blocks, double offset,
+      bool count_near_threshold) const;
 
   /// Emits one prov::ClusterDecision per row of the final clustering: the
   /// strongest co-member similarity (support), its per-metric components

@@ -227,11 +227,7 @@ ml::ScoredFeatures RowMetricBank::Compare(int i, int j) const {
     push(util::CosineBinary(a.bow, b.bow), 0.0);
   }
   if (enabled_[static_cast<int>(RowMetric::kPhi)]) {
-    push(num_tables_ == 0
-             ? util::CosineSparse(rows_->table_phi[a.table_index],
-                                  rows_->table_phi[b.table_index])
-             : phi_sim_[a.table_index * num_tables_ + b.table_index],
-         0.0);
+    push(phi_sim_[a.table_index * num_tables_ + b.table_index], 0.0);
   }
   if (enabled_[static_cast<int>(RowMetric::kAttribute)]) {
     auto [sim, conf] = AttributeSimilarity(a, b);

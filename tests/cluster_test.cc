@@ -77,7 +77,6 @@ TEST(CorrelationClustererTest, KljRepairsGreedyBatchErrors) {
   const std::vector<int> truth = {0, 0, 0, 0, 1, 1, 1, 1};
   ClusteringOptions options;
   options.batch_size = 8;  // whole input in one parallel batch
-  options.num_threads = 2;
   auto with_klj = ClusterCorrelation(truth.size(),
                                      PartitionSimilarity(truth),
                                      SingleBlock(truth.size()), options);

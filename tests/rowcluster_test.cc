@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "eval/clustering_eval.h"
@@ -9,6 +10,7 @@
 #include "rowcluster/row_features.h"
 #include "rowcluster/row_metrics.h"
 #include "test_dataset.h"
+#include "util/metrics.h"
 
 namespace ltee::rowcluster {
 namespace {
@@ -236,6 +238,19 @@ TEST(RowClustererTest, TrainedClustererRecoversGoldClustersReasonably) {
   double sum = 0;
   for (double imp : importances) sum += imp;
   EXPECT_NEAR(sum, 1.0, 1e-6);
+}
+
+TEST(RowClustererTest, NanPairScoresAreMemoized) {
+  // A NaN offset makes every pair score NaN. The pair cache must still
+  // serve repeat lookups instead of re-scoring the pair each time.
+  const auto& state = SharedGoldRows();
+  RowClusterer clusterer;
+  clusterer.set_score_offset(std::numeric_limits<double>::quiet_NaN());
+  const util::Counter& hits =
+      util::Metrics().GetCounter("ltee.rowcluster.pair_cache.hits");
+  const uint64_t before = hits.value();
+  clusterer.Cluster(state.rows);
+  EXPECT_GT(hits.value() - before, 0u);
 }
 
 }  // namespace
