@@ -86,27 +86,6 @@ void BM_InternHotToken(benchmark::State& state) {
 }
 BENCHMARK(BM_InternHotToken);
 
-/// The raw-string kernels re-tokenize and hash per call; the token-id
-/// overloads below are what the prepared corpus feeds the hot paths.
-void BM_JaccardStrings(benchmark::State& state) {
-  const std::vector<std::string> a = {"john", "ronald", "smith"};
-  const std::vector<std::string> b = {"jon", "r", "smith"};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::JaccardSimilarity(a, b));
-  }
-}
-BENCHMARK(BM_JaccardStrings);
-
-void BM_JaccardIds(benchmark::State& state) {
-  util::TokenDictionary dict;
-  const auto a = util::SortedUnique(dict.InternTokens("john ronald smith"));
-  const auto b = util::SortedUnique(dict.InternTokens("jon r smith"));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::JaccardSimilarity(a, b));
-  }
-}
-BENCHMARK(BM_JaccardIds);
-
 void BM_MongeElkanIds(benchmark::State& state) {
   util::TokenDictionary dict;
   const auto a = dict.InternTokens("john ronald smith");
@@ -337,20 +316,18 @@ void RunEndToEndTimings() {
       benchmark::DoNotOptimize(run);
     });
     double on_seconds = off_seconds;
-    obsv::ProfilerOptions profiler_options;
-    profiler_options.hz = 99;
     std::string error;
-    if (obsv::StartProfiler(profiler_options, &error)) {
+    if (obsv::CpuProfiler().Start(99, &error)) {
       on_seconds = bench::MinWallSeconds(3, [&] {
         auto run = pipe.Run(raw_corpus, classes);
         benchmark::DoNotOptimize(run);
       });
-      obsv::StopProfiler();
-      const obsv::ProfileStats stats = obsv::CurrentProfileStats();
+      obsv::CpuProfiler().Stop();
+      const obsv::SessionStats stats = obsv::CpuProfiler().Stats();
       std::fprintf(stderr, "# profiler: %llu samples, %llu dropped\n",
                    static_cast<unsigned long long>(stats.samples),
                    static_cast<unsigned long long>(stats.dropped));
-      obsv::ResetProfiler();
+      obsv::CpuProfiler().Reset();
     } else {
       std::fprintf(stderr, "# profiler unavailable: %s\n", error.c_str());
     }

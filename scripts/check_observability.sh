@@ -243,6 +243,12 @@ for KEY in '"top_functions"' '"spans"' '"dropped"'; do
         exit 1
     fi
 done
+if ! python3 -c 'import json,sys; json.load(sys.stdin)' \
+    <<<"${ANALYSIS_JSON}"; then
+    echo "check_observability: FAIL: analyze-profile --json is not valid" \
+        "JSON" >&2
+    exit 1
+fi
 
 # Live capture under load: serve the earlier snapshot again, keep a
 # query loop running, and require GET /profile to return a well-formed
@@ -325,6 +331,12 @@ for KEY in '"top_sites"' '"spans"' '"live_bytes"'; do
         exit 1
     fi
 done
+if ! python3 -c 'import json,sys; json.load(sys.stdin)' \
+    <<<"${MEM_ANALYSIS_JSON}"; then
+    echo "check_observability: FAIL: analyze-memory --json is not valid" \
+        "JSON" >&2
+    exit 1
+fi
 
 # Live capture under load: serve the earlier snapshot once more, keep a
 # query loop running, and require GET /memory to return a well-formed

@@ -42,6 +42,20 @@ void WriteFile(const std::string& path, const std::string& body) {
   out << body << "\n";
 }
 
+/// Stops `session` and writes whatever it sampled — the partial profile
+/// of a crashed run still points at the code that burned the CPU or held
+/// the bytes. False when `path` is empty or nothing was sampled.
+bool FlushSession(const std::string& path, SampledSession& session,
+                  const char* what) {
+  if (path.empty() || !(session.Active() || session.Stats().samples > 0)) {
+    return false;
+  }
+  WriteFile(path, session.Collect());
+  std::fprintf(stderr, "crash flush: partial %s written to %s\n", what,
+               path.c_str());
+  return true;
+}
+
 [[noreturn]] void TerminateHandler() {
   CrashFlushNow();
   std::terminate_handler previous;
@@ -119,26 +133,10 @@ bool CrashFlushNow() {
     std::fprintf(stderr, "crash flush: access log written to %s\n",
                  access_log_path.c_str());
   }
-  bool profile_written = false;
-  if (!profile_path.empty() &&
-      (ProfilerActive() || CurrentProfileStats().samples > 0)) {
-    // Stop sampling and write whatever was collected — a partial profile
-    // of a crashed run still points at the code that was burning CPU.
-    WriteFile(profile_path, CollectCollapsedProfile());
-    std::fprintf(stderr, "crash flush: partial profile written to %s\n",
-                 profile_path.c_str());
-    profile_written = true;
-  }
-  bool heap_profile_written = false;
-  if (!heap_profile_path.empty() &&
-      (HeapProfilerActive() || CurrentHeapProfileStats().samples > 0)) {
-    // Same idea for the heap: the sampled allocation stacks gathered so
-    // far say where the bytes went before the process died.
-    WriteFile(heap_profile_path, CollectCollapsedHeapProfile());
-    std::fprintf(stderr, "crash flush: partial heap profile written to %s\n",
-                 heap_profile_path.c_str());
-    heap_profile_written = true;
-  }
+  const bool profile_written =
+      FlushSession(profile_path, CpuProfiler(), "profile");
+  const bool heap_profile_written =
+      FlushSession(heap_profile_path, HeapProfiler(), "heap profile");
   return !trace_path.empty() || !metrics_path.empty() ||
          !access_log_path.empty() || profile_written ||
          heap_profile_written;

@@ -322,12 +322,6 @@ void HttpServer::ServeConnection(int fd) {
   head += "\r\nConnection: close\r\n\r\n";
   SendAll(fd, head);
   if (method != "HEAD") SendAll(fd, response.body);
-  ::shutdown(fd, SHUT_WR);
-  // Drain whatever the peer still sends so the close is graceful, then
-  // close.
-  while (::recv(fd, buf, sizeof(buf), 0) > 0) {
-  }
-  ::close(fd);
 
   const double write_ms = MsSince(write_start);
   AccessEntry entry;
@@ -350,6 +344,14 @@ void HttpServer::ServeConnection(int fd) {
     GlobalAccessLog().Record(std::move(entry));
   }
   GlobalRequestTelemetry().ObserveRequest(read_ms + handle_ms + write_ms);
+  // Recorded before the close: the client sees the end of its response
+  // only then, so a follow-up /stats already counts this request.
+  ::shutdown(fd, SHUT_WR);
+  // Drain whatever the peer still sends so the close is graceful, then
+  // close.
+  while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+  }
+  ::close(fd);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
 }
 

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "obsv/profiler.h"
+#include "obsv/sampled_session.h"
 
 namespace ltee::obsv {
 
@@ -28,15 +28,15 @@ namespace ltee::obsv {
 ///
 /// On top of the counters, a heap-profiler session samples
 /// every ~N allocated bytes, capturing the allocation stack
-/// (util::CaptureStack) into lock-free tid-sharded tables; collection
-/// exports a flamegraph.pl-compatible collapsed heap profile
+/// (util::CaptureStack) into the shared lock-free sample rings;
+/// collection exports a flamegraph.pl-compatible collapsed heap profile
 /// (`span:NAME;frames... LIVE_BYTES`) whose header reuses the
-/// `# ltee-profile` prefix so ParseCollapsedProfile applies unchanged.
+/// `# ltee-profile` prefix so ParseCollapsedProfile reads both kinds.
 ///
 /// Re-entrancy and safety rules (also in DESIGN.md):
 ///  - The hooks never allocate, never lock, and never recurse: a
 ///    thread-local guard makes any nested allocation (symbolizer warm-up,
-///    sample-table growth) bypass accounting while still getting a
+///    sample-ring allocation) bypass accounting while still getting a
 ///    header, so every pointer freed later is interpretable.
 ///  - The header is unconditional; enabling/disabling tracking mid-run
 ///    can never mismatch an allocation with its free (a counted bit in
@@ -93,99 +93,20 @@ std::vector<SpanBytes> MemtrackSpanBytes();
 /// sources fail. Works with or without memtrack support.
 uint64_t ReadPeakRssBytes();
 
-// ---------------------------------------------------------------------------
-// Heap-profiler session (sampled allocation stacks)
+/// The heap-profiler session (sampled allocation stacks). Its rate is
+/// the number of allocated bytes between samples, per thread, clamped to
+/// [1, 1 << 30]; small values sample every allocation — what the tests
+/// use for determinism. While the session is open, tracking (if off) and
+/// span accounting are on. After Stop, sampled live bytes keep
+/// decrementing as their allocations are freed, so Collect reports
+/// current liveness: a `# ltee-profile heap=1 sample_kb=... samples=...
+/// dropped=... duration_s=... live_bytes=... live_allocs=...
+/// peak_rss_kb=...` header, one `# ltee-memtrack-span NAME live=B cum=B
+/// allocs=N` comment line per attributed span, then collapsed stack
+/// lines weighted by LIVE bytes (fully-freed samples are omitted).
+SampledSession& HeapProfiler();
 
-struct HeapProfilerOptions {
-  /// Sample roughly one allocation per this many allocated bytes, per
-  /// thread. Clamped to [1, 1 << 30]. Small values sample every
-  /// allocation — what the tests use for determinism.
-  size_t sample_bytes = 64 * 1024;
-  /// Capacity of each tid-sharded sample table; a full shard counts
-  /// further samples as dropped, the hook never blocks or reallocates.
-  size_t table_capacity = 16384;
-};
-
-/// Opens the single global heap-profile session: arms sampling and (if
-/// not already on) enables tracking for the duration. Refuses — never
-/// queues — when a session is already open. Mirrors StartProfiler.
-bool StartHeapProfiler(const HeapProfilerOptions& options,
-                       std::string* error);
-
-/// True between a successful StartHeapProfiler and StopHeapProfiler.
-bool HeapProfilerActive();
-
-/// Disarms sampling; sampled live bytes keep decrementing as their
-/// allocations are freed, so a later Collect reports current liveness.
-void StopHeapProfiler();
-
-struct HeapProfileStats {
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-  size_t sample_kb = 0;
-  double duration_s = 0.0;
-};
-HeapProfileStats CurrentHeapProfileStats();
-
-/// Lifetime totals across all sessions, for /stats.
-struct MemtrackCaptureTotals {
-  uint64_t captures = 0;
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-};
-MemtrackCaptureTotals GetMemtrackCaptureTotals();
-
-/// Stops (if needed) and serializes the session: a `# ltee-profile
-/// heap=1 sample_kb=... samples=... dropped=... duration_s=...
-/// live_bytes=... live_allocs=... peak_rss_kb=...` header, one
-/// `# ltee-memtrack-span NAME live=B cum=B allocs=N` comment line per
-/// attributed span, then collapsed stack lines weighted by LIVE bytes
-/// (fully-freed samples are omitted). Callable after a crash from the
-/// crash-flush path; sampling must already be stopped then.
-std::string CollectCollapsedHeapProfile();
-
-/// Clears sampled stacks and closes the session so a new Start succeeds.
-void ResetHeapProfiler();
-
-/// One-shot convenience for the /memory endpoint and tests:
-/// Start(sample_kb) → sleep `seconds` → Collect → Reset. Fails when a
-/// session is already open (the endpoint then answers 503).
-bool CaptureHeapProfile(double seconds, size_t sample_kb,
-                        std::string* collapsed, std::string* error);
-
-// ---------------------------------------------------------------------------
-// Analysis of a collapsed heap profile (the `analyze-memory` core).
-// Stack lines parse with the CPU parser (ParseCollapsedProfile); the
-// helpers below recover the heap-specific header and span table.
-
-struct HeapProfileHeader {
-  bool is_heap = false;
-  size_t sample_kb = 0;
-  uint64_t live_bytes = 0;
-  uint64_t live_allocs = 0;
-  uint64_t peak_rss_kb = 0;
-  /// Parsed `# ltee-memtrack-span` lines, order preserved.
-  std::vector<SpanBytes> spans;
-};
-
-/// Scans the text for the heap header and span comment lines. Returns
-/// false when no `heap=1` header is present (i.e. a CPU profile).
-bool ParseHeapProfileHeader(const std::string& text,
-                            HeapProfileHeader* out);
-
-/// Human-readable report: totals, per-span live/cumulative bytes, and
-/// the top-N allocation stacks by live sampled bytes.
-std::string HeapAnalysisToText(const ProfileAnalysis& analysis,
-                               const HeapProfileHeader& header,
-                               size_t top_n = 20);
-
-/// Same content as one JSON object: {"sample_kb","samples","dropped",
-/// "duration_s","live_bytes","live_allocs","peak_rss_kb",
-/// "spans":[{name,live_bytes,cum_bytes,allocs}],
-/// "top_sites":[{name,self_bytes,total_bytes,self_pct}]}.
-std::string HeapAnalysisToJson(const ProfileAnalysis& analysis,
-                               const HeapProfileHeader& header,
-                               size_t top_n = 20);
+inline constexpr int64_t kDefaultHeapSampleBytes = 64 * 1024;
 
 }  // namespace ltee::obsv
 

@@ -1,20 +1,10 @@
 #include "obsv/profiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
-#include <mutex>
-#include <set>
-#include <thread>
-#include <unordered_map>
 
-#include "util/json.h"
-#include "util/metrics.h"
 #include "util/stack_capture.h"
 #include "util/trace.h"
 
@@ -37,227 +27,43 @@ namespace {
 struct RawSample {
   void* frames[util::kMaxStackDepth];
   int32_t depth;
-  int32_t tid;
   char span[util::trace::kTrackedSpanNameLen];
   char trace_id[33];
 };
 
-/// Samples are sharded by kernel tid so concurrent deliveries (SIGPROF
-/// can land on whichever thread is running) rarely contend; the
-/// fetch_add slot claim keeps even a collision safe. Slot memory is
-/// allocated by StartProfiler and only ever grows — the handler sees
-/// either null (capture not armed) or fully-built rings.
-constexpr int kShards = 8;
-
-struct Shard {
-  std::atomic<uint64_t> head{0};
-  RawSample* slots = nullptr;
-  std::atomic<uint8_t>* ready = nullptr;
-  size_t capacity = 0;
-};
-
-Shard g_shards[kShards];
-std::atomic<size_t> g_ring_capacity{0};
-std::atomic<uint64_t> g_dropped{0};
+constinit SampleRings<RawSample> g_rings;
 /// Handler gate: the only state the handler consults before touching
 /// anything else.
 std::atomic<bool> g_sampling{false};
 
-/// API-level state, all under g_mu. `g_session_open` spans
-/// Start→Stop→Collect→Reset so a second capture cannot interleave with
-/// an export in progress.
-std::mutex g_mu;
-bool g_timer_armed = false;
-bool g_session_open = false;
-int g_hz = 0;
-std::chrono::steady_clock::time_point g_started_at;
-double g_duration_s = 0.0;
 #if LTEE_HAS_SIGPROF
+
 struct sigaction g_old_action;
-#endif
-
-std::atomic<uint64_t> g_total_captures{0};
-std::atomic<uint64_t> g_total_samples{0};
-std::atomic<uint64_t> g_total_dropped{0};
-
-#if LTEE_HAS_SIGPROF
 
 void ProfSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* /*ctx*/) {
   if (!g_sampling.load(std::memory_order_relaxed)) return;
   const int saved_errno = errno;
-  const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
   const long tid = ::syscall(SYS_gettid);
-  Shard& shard = g_shards[static_cast<unsigned long>(tid) % kShards];
-  const uint64_t idx = shard.head.fetch_add(1, std::memory_order_relaxed);
-  if (capacity == 0 || idx >= capacity) {
-    // Ring full: count the loss and move on — the handler never blocks
-    // and never reallocates.
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    errno = saved_errno;
-    return;
+  const unsigned shard = static_cast<unsigned long>(tid) % kSampleShards;
+  uint32_t index = 0;
+  if (RawSample* sample = g_rings.Claim(shard, &index)) {
+    // Skip 2 innermost frames: this handler and the kernel signal
+    // trampoline.
+    sample->depth =
+        util::CaptureStack(sample->frames, util::kMaxStackDepth, 2);
+    util::trace::CurrentSpanNameForSignal(sample->span, sizeof(sample->span));
+    util::trace::CurrentTraceIdForSignal(sample->trace_id,
+                                         sizeof(sample->trace_id));
+    g_rings.Publish(shard, index);
   }
-  RawSample& sample = shard.slots[idx];
-  // Skip 2 innermost frames: this handler and the kernel signal
-  // trampoline.
-  sample.depth = util::CaptureStack(sample.frames, util::kMaxStackDepth, 2);
-  sample.tid = static_cast<int32_t>(tid);
-  util::trace::CurrentSpanNameForSignal(sample.span, sizeof(sample.span));
-  util::trace::CurrentTraceIdForSignal(sample.trace_id,
-                                       sizeof(sample.trace_id));
-  shard.ready[idx].store(1, std::memory_order_release);
   errno = saved_errno;
 }
 
 #endif  // LTEE_HAS_SIGPROF
 
-uint64_t CollectedSampleCountLocked() {
-  const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
-  uint64_t total = 0;
-  for (const Shard& shard : g_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    total += head < capacity ? head : capacity;
-  }
-  return total;
-}
-
-void StopLocked() {
-  if (!g_timer_armed) return;
-#if LTEE_HAS_SIGPROF
-  itimerval disarm;
-  std::memset(&disarm, 0, sizeof(disarm));
-  ::setitimer(ITIMER_PROF, &disarm, nullptr);
-  g_sampling.store(false, std::memory_order_relaxed);
-  g_duration_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - g_started_at)
-                     .count();
-  // Let any in-flight handler on another thread finish before restoring
-  // the old disposition (a handler takes microseconds; this is belt and
-  // braces, not synchronization the rings need).
-  ::usleep(2000);
-  ::sigaction(SIGPROF, &g_old_action, nullptr);
-#endif
-  util::trace::SetSpanTrackingEnabled(false);
-  g_timer_armed = false;
-  const uint64_t samples = CollectedSampleCountLocked();
-  const uint64_t dropped = g_dropped.load(std::memory_order_relaxed);
-  g_total_samples.fetch_add(samples, std::memory_order_relaxed);
-  g_total_dropped.fetch_add(dropped, std::memory_order_relaxed);
-  util::Metrics().GetCounter("ltee.profiler.samples").Increment(samples);
-  util::Metrics().GetCounter("ltee.profiler.dropped").Increment(dropped);
-}
-
-void ResetLocked() {
-  StopLocked();
-  for (Shard& shard : g_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    const size_t used =
-        static_cast<size_t>(head < shard.capacity ? head : shard.capacity);
-    for (size_t i = 0; i < used; ++i) {
-      shard.ready[i].store(0, std::memory_order_relaxed);
-    }
-    shard.head.store(0, std::memory_order_relaxed);
-  }
-  g_dropped.store(0, std::memory_order_relaxed);
-  g_duration_s = 0.0;
-  g_hz = 0;
-  g_session_open = false;
-}
-
-/// Makes a symbol usable as a collapsed-stack frame: strips the
-/// parameter list from demangled C++ names (keeping "operator()"'s
-/// parens, which are part of the name) and replaces the two characters
-/// the format reserves — ';' separates frames, ' ' separates the count.
-std::string CleanFrameName(const std::string& raw) {
-  std::string name = raw;
-  size_t paren = name.find('(');
-  while (paren != std::string::npos && paren >= 8 &&
-         name.compare(paren - 8, 8, "operator") == 0) {
-    paren = name.find('(', paren + 1);
-  }
-  if (paren != std::string::npos && paren > 0) name.resize(paren);
-  for (char& c : name) {
-    if (c == ';') c = ':';
-    if (c == ' ') c = '_';
-  }
-  return name.empty() ? std::string("[unknown]") : name;
-}
-
-std::string CleanSpanName(const char* span) {
-  std::string name(span);
-  for (char& c : name) {
-    if (c == ';') c = ':';
-    if (c == ' ') c = '_';
-  }
-  return name;
-}
-
-std::string CollectCollapsedLocked() {
-  StopLocked();
-  const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
-  // Aggregate identical stacks; symbolize every distinct pc exactly once.
-  std::map<std::string, uint64_t> counts;
-  std::unordered_map<const void*, std::string> symbols;
-  uint64_t samples = 0;
-  uint64_t request_samples = 0;
-  for (Shard& shard : g_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    const size_t used =
-        static_cast<size_t>(head < capacity ? head : capacity);
-    for (size_t i = 0; i < used; ++i) {
-      if (shard.ready[i].load(std::memory_order_acquire) == 0) continue;
-      const RawSample& sample = shard.slots[i];
-      ++samples;
-      if (sample.trace_id[0] != '\0') ++request_samples;
-      std::string line = "span:";
-      line += sample.span[0] != '\0' ? CleanSpanName(sample.span) : "(none)";
-      // Samples store leaf-first; collapsed lines read root-first.
-      for (int f = sample.depth - 1; f >= 0; --f) {
-        const void* pc = sample.frames[f];
-        auto it = symbols.find(pc);
-        if (it == symbols.end()) {
-          it = symbols
-                   .emplace(pc,
-                            CleanFrameName(util::SymbolizeAddress(pc).name))
-                   .first;
-        }
-        line += ';';
-        line += it->second;
-      }
-      ++counts[line];
-    }
-  }
-  std::string out;
-  char header[160];
-  std::snprintf(header, sizeof(header),
-                "# ltee-profile hz=%d samples=%llu dropped=%llu "
-                "duration_s=%.3f req_samples=%llu\n",
-                g_hz, static_cast<unsigned long long>(samples),
-                static_cast<unsigned long long>(
-                    g_dropped.load(std::memory_order_relaxed)),
-                g_duration_s,
-                static_cast<unsigned long long>(request_samples));
-  out += header;
-  for (const auto& [line, count] : counts) {
-    out += line;
-    out += ' ';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string CollapsedFrameName(const std::string& raw) {
-  return CleanFrameName(raw);
-}
-
-std::string CollapsedSpanName(const char* span) {
-  return CleanSpanName(span);
-}
-
-bool StartProfiler(const ProfilerOptions& options, std::string* error) {
+bool Arm(int64_t hz, std::string* error) {
 #if !LTEE_HAS_SIGPROF
+  (void)hz;
   if (error != nullptr) *error = "profiler unsupported on this platform";
   return false;
 #else
@@ -265,32 +71,8 @@ bool StartProfiler(const ProfilerOptions& options, std::string* error) {
     if (error != nullptr) *error = "stack capture unsupported";
     return false;
   }
-  std::lock_guard<std::mutex> lock(g_mu);
-  if (g_session_open) {
-    if (error != nullptr) *error = "a profile capture is already active";
-    return false;
-  }
-  const int hz = std::clamp(options.hz, 1, 1000);
-  const size_t capacity = std::max<size_t>(options.ring_capacity, 64);
   util::WarmUpStackCapture();
-  for (Shard& shard : g_shards) {
-    if (shard.capacity < capacity) {
-      // Grow-only: old arrays are leaked deliberately. Capture sessions
-      // are rare and a stray in-flight handler must never chase a freed
-      // pointer.
-      shard.slots = new RawSample[capacity];
-      shard.ready = new std::atomic<uint8_t>[capacity];
-      shard.capacity = capacity;
-    }
-    for (size_t i = 0; i < capacity; ++i) {
-      shard.ready[i].store(0, std::memory_order_relaxed);
-    }
-    shard.head.store(0, std::memory_order_relaxed);
-  }
-  g_ring_capacity.store(capacity, std::memory_order_relaxed);
-  g_dropped.store(0, std::memory_order_relaxed);
-  g_hz = hz;
-  g_duration_s = 0.0;
+  g_rings.Prepare();
   util::trace::SetSpanTrackingEnabled(true);
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
@@ -305,7 +87,7 @@ bool StartProfiler(const ProfilerOptions& options, std::string* error) {
   g_sampling.store(true, std::memory_order_release);
   itimerval interval;
   std::memset(&interval, 0, sizeof(interval));
-  const long usec = std::max(1000000L / hz, 1L);
+  const long usec = std::max(1000000L / static_cast<long>(hz), 1L);
   interval.it_interval.tv_sec = usec / 1000000;
   interval.it_interval.tv_usec = usec % 1000000;
   interval.it_value = interval.it_interval;
@@ -316,281 +98,54 @@ bool StartProfiler(const ProfilerOptions& options, std::string* error) {
     if (error != nullptr) *error = "setitimer(ITIMER_PROF) failed";
     return false;
   }
-  g_started_at = std::chrono::steady_clock::now();
-  g_timer_armed = true;
-  g_session_open = true;
-  g_total_captures.fetch_add(1, std::memory_order_relaxed);
-  util::Metrics().GetCounter("ltee.profiler.captures").Increment();
   return true;
 #endif
 }
 
-bool ProfilerActive() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return g_timer_armed;
+void Disarm() {
+#if LTEE_HAS_SIGPROF
+  itimerval disarm;
+  std::memset(&disarm, 0, sizeof(disarm));
+  ::setitimer(ITIMER_PROF, &disarm, nullptr);
+  g_sampling.store(false, std::memory_order_relaxed);
+  // Let any in-flight handler on another thread finish before restoring
+  // the old disposition (a handler takes microseconds; this is belt and
+  // braces, not synchronization the rings need).
+  ::usleep(2000);
+  ::sigaction(SIGPROF, &g_old_action, nullptr);
+#endif
+  util::trace::SetSpanTrackingEnabled(false);
 }
 
-void StopProfiler() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  StopLocked();
+std::string Collect(const SessionStats& stats) {
+  CollapsedStackWriter writer;
+  uint64_t samples = 0;
+  uint64_t request_samples = 0;
+  g_rings.ForEachReady([&](const RawSample& sample) {
+    ++samples;
+    if (sample.trace_id[0] != '\0') ++request_samples;
+    writer.Add(sample.span, sample.frames, sample.depth, 1);
+  });
+  char header[160];
+  std::snprintf(header, sizeof(header),
+                "# ltee-profile hz=%d samples=%llu dropped=%llu "
+                "duration_s=%.3f req_samples=%llu\n",
+                static_cast<int>(stats.rate),
+                static_cast<unsigned long long>(samples),
+                static_cast<unsigned long long>(stats.dropped),
+                stats.duration_s,
+                static_cast<unsigned long long>(request_samples));
+  std::string out = header;
+  writer.AppendTo(&out);
+  return out;
 }
 
-ProfileStats CurrentProfileStats() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  ProfileStats stats;
-  stats.samples = CollectedSampleCountLocked();
-  stats.dropped = g_dropped.load(std::memory_order_relaxed);
-  stats.hz = g_hz;
-  stats.duration_s =
-      g_timer_armed
-          ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          g_started_at)
-                .count()
-          : g_duration_s;
-  return stats;
-}
-
-ProfilerTotals GetProfilerTotals() {
-  ProfilerTotals totals;
-  totals.captures = g_total_captures.load(std::memory_order_relaxed);
-  totals.samples = g_total_samples.load(std::memory_order_relaxed);
-  totals.dropped = g_total_dropped.load(std::memory_order_relaxed);
-  return totals;
-}
-
-std::string CollectCollapsedProfile() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return CollectCollapsedLocked();
-}
-
-void ResetProfiler() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  ResetLocked();
-}
-
-bool CaptureProfile(double seconds, int hz, std::string* collapsed,
-                    std::string* error) {
-  ProfilerOptions options;
-  options.hz = hz;
-  if (!StartProfiler(options, error)) return false;
-  const double bounded = std::clamp(seconds, 0.01, 120.0);
-  std::this_thread::sleep_for(std::chrono::duration<double>(bounded));
-  std::lock_guard<std::mutex> lock(g_mu);
-  std::string profile = CollectCollapsedLocked();
-  ResetLocked();
-  if (collapsed != nullptr) *collapsed = std::move(profile);
-  return true;
-}
-
-namespace {
-
-bool ParseHeaderLine(const std::string& line, ProfileAnalysis* out) {
-  if (line.rfind("# ltee-profile", 0) != 0) return false;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    const size_t eq = line.find('=', pos);
-    if (eq == std::string::npos) break;
-    size_t key_start = line.rfind(' ', eq);
-    key_start = key_start == std::string::npos ? pos : key_start + 1;
-    const std::string key = line.substr(key_start, eq - key_start);
-    size_t value_end = line.find(' ', eq + 1);
-    if (value_end == std::string::npos) value_end = line.size();
-    const std::string value = line.substr(eq + 1, value_end - eq - 1);
-    char* end = nullptr;
-    if (key == "hz") {
-      out->hz = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-    } else if (key == "samples") {
-      out->samples = std::strtoull(value.c_str(), &end, 10);
-    } else if (key == "dropped") {
-      out->dropped = std::strtoull(value.c_str(), &end, 10);
-    } else if (key == "duration_s") {
-      out->duration_s = std::strtod(value.c_str(), &end);
-    }
-    pos = value_end;
-  }
-  return true;
-}
+constinit SampledSession g_session{SessionHooks{
+    "profile", "ltee.profiler", 1, 1000, &g_rings, &Arm, &Disarm, &Collect,
+    nullptr}};
 
 }  // namespace
 
-bool ParseCollapsedProfile(const std::string& text, ProfileAnalysis* out,
-                           std::string* error) {
-  if (out == nullptr) return false;
-  *out = ProfileAnalysis();
-  std::map<std::string, ProfileAnalysis::FrameStat> frames;
-  std::map<std::string, uint64_t> spans;
-  uint64_t line_samples = 0;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      ParseHeaderLine(line, out);
-      continue;
-    }
-    const size_t space = line.rfind(' ');
-    if (space == std::string::npos || space + 1 >= line.size()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": missing count";
-      }
-      return false;
-    }
-    char* count_end = nullptr;
-    const uint64_t count =
-        std::strtoull(line.c_str() + space + 1, &count_end, 10);
-    if (count_end == nullptr || *count_end != '\0' || count == 0) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": bad count";
-      }
-      return false;
-    }
-    // Split the stack body on ';' — first frame may be the span tag.
-    std::vector<std::string> stack;
-    size_t fpos = 0;
-    const std::string body = line.substr(0, space);
-    while (fpos <= body.size()) {
-      size_t fend = body.find(';', fpos);
-      if (fend == std::string::npos) fend = body.size();
-      stack.push_back(body.substr(fpos, fend - fpos));
-      fpos = fend + 1;
-    }
-    if (stack.empty() || stack.front().empty()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": empty stack";
-      }
-      return false;
-    }
-    size_t first_frame = 0;
-    if (stack.front().rfind("span:", 0) == 0) {
-      spans[stack.front().substr(5)] += count;
-      first_frame = 1;
-    } else {
-      spans["(none)"] += count;
-    }
-    line_samples += count;
-    if (first_frame >= stack.size()) continue;  // span tag only, no frames
-    std::set<std::string> seen;
-    for (size_t f = first_frame; f < stack.size(); ++f) {
-      ProfileAnalysis::FrameStat& stat = frames[stack[f]];
-      if (stat.name.empty()) stat.name = stack[f];
-      // A frame recursing within one stack still gets its total counted
-      // once.
-      if (seen.insert(stack[f]).second) stat.total += count;
-    }
-    frames[stack.back()].self += count;
-  }
-  if (out->samples == 0) out->samples = line_samples;
-  const uint64_t denom = line_samples > 0 ? line_samples : 1;
-  out->frames.reserve(frames.size());
-  for (auto& [name, stat] : frames) out->frames.push_back(std::move(stat));
-  std::sort(out->frames.begin(), out->frames.end(),
-            [](const ProfileAnalysis::FrameStat& a,
-               const ProfileAnalysis::FrameStat& b) {
-              if (a.self != b.self) return a.self > b.self;
-              if (a.total != b.total) return a.total > b.total;
-              return a.name < b.name;
-            });
-  out->spans.reserve(spans.size());
-  for (const auto& [name, samples] : spans) {
-    ProfileAnalysis::SpanStat stat;
-    stat.name = name;
-    stat.samples = samples;
-    stat.pct = 100.0 * static_cast<double>(samples) /
-               static_cast<double>(denom);
-    out->spans.push_back(std::move(stat));
-  }
-  std::sort(out->spans.begin(), out->spans.end(),
-            [](const ProfileAnalysis::SpanStat& a,
-               const ProfileAnalysis::SpanStat& b) {
-              if (a.samples != b.samples) return a.samples > b.samples;
-              return a.name < b.name;
-            });
-  return true;
-}
-
-std::string ProfileAnalysisToText(const ProfileAnalysis& analysis,
-                                  size_t top_n) {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "Profile: %llu samples @ %d Hz over %.2f s (%llu dropped)\n",
-                static_cast<unsigned long long>(analysis.samples),
-                analysis.hz, analysis.duration_s,
-                static_cast<unsigned long long>(analysis.dropped));
-  out += buf;
-  const double denom =
-      analysis.samples > 0 ? static_cast<double>(analysis.samples) : 1.0;
-  out += "\nTop functions by self samples:\n";
-  out += "    SELF   TOTAL   SELF%  NAME\n";
-  size_t shown = 0;
-  for (const ProfileAnalysis::FrameStat& frame : analysis.frames) {
-    if (shown++ >= top_n) break;
-    std::snprintf(buf, sizeof(buf), "  %6llu  %6llu  %5.1f%%  %s\n",
-                  static_cast<unsigned long long>(frame.self),
-                  static_cast<unsigned long long>(frame.total),
-                  100.0 * static_cast<double>(frame.self) / denom,
-                  frame.name.c_str());
-    out += buf;
-  }
-  if (analysis.frames.empty()) out += "  (no samples)\n";
-  out += "\nCPU by span:\n";
-  out += "  SAMPLES    PCT   SPAN\n";
-  for (const ProfileAnalysis::SpanStat& span : analysis.spans) {
-    std::snprintf(buf, sizeof(buf), "  %7llu  %5.1f%%  %s\n",
-                  static_cast<unsigned long long>(span.samples), span.pct,
-                  span.name.c_str());
-    out += buf;
-  }
-  if (analysis.spans.empty()) out += "  (no samples)\n";
-  return out;
-}
-
-std::string ProfileAnalysisToJson(const ProfileAnalysis& analysis,
-                                  size_t top_n) {
-  std::string out = "{\"hz\":";
-  out += std::to_string(analysis.hz);
-  out += ",\"samples\":";
-  out += std::to_string(analysis.samples);
-  out += ",\"dropped\":";
-  out += std::to_string(analysis.dropped);
-  out += ",\"duration_s\":";
-  util::AppendJsonNumber(&out, analysis.duration_s);
-  const double denom =
-      analysis.samples > 0 ? static_cast<double>(analysis.samples) : 1.0;
-  out += ",\"top_functions\":[";
-  size_t shown = 0;
-  for (const ProfileAnalysis::FrameStat& frame : analysis.frames) {
-    if (shown >= top_n) break;
-    if (shown++ > 0) out += ',';
-    out += "{\"name\":";
-    out += util::JsonQuote(frame.name);
-    out += ",\"self\":";
-    out += std::to_string(frame.self);
-    out += ",\"total\":";
-    out += std::to_string(frame.total);
-    out += ",\"self_pct\":";
-    util::AppendJsonNumber(&out,
-                           100.0 * static_cast<double>(frame.self) / denom);
-    out += '}';
-  }
-  out += "],\"spans\":[";
-  for (size_t s = 0; s < analysis.spans.size(); ++s) {
-    if (s > 0) out += ',';
-    out += "{\"name\":";
-    out += util::JsonQuote(analysis.spans[s].name);
-    out += ",\"samples\":";
-    out += std::to_string(analysis.spans[s].samples);
-    out += ",\"pct\":";
-    util::AppendJsonNumber(&out, analysis.spans[s].pct);
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
+SampledSession& CpuProfiler() { return g_session; }
 
 }  // namespace ltee::obsv

@@ -1,9 +1,7 @@
 #ifndef LTEE_OBSV_PROFILER_H_
 #define LTEE_OBSV_PROFILER_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
+#include "obsv/sampled_session.h"
 
 namespace ltee::obsv {
 
@@ -11,127 +9,18 @@ namespace ltee::obsv {
 /// (ITIMER_PROF) delivers SIGPROF on process CPU time; the
 /// async-signal-safe handler captures the interrupted thread's raw stack
 /// (util::CaptureStack) plus its innermost tracked span name and request
-/// trace id (the signal-safe mirrors in util::trace) into lock-free
-/// thread-sharded sample rings. Symbolization, aggregation, and all
+/// trace id (the signal-safe mirrors in util::trace) into the shared
+/// lock-free sample rings. Symbolization, aggregation, and all
 /// allocation happen only at collect time, after sampling has stopped.
 ///
-/// One profiler per process: Start/Stop guard a single global capture.
-/// The /profile endpoint and CaptureProfile serialize on that — a second
-/// concurrent capture is refused, never queued.
+/// The session's rate is samples per second of process CPU time,
+/// clamped to [1, 1000]. While it is armed, util::trace span tracking is
+/// on so samples carry span names. Collect yields a
+/// `# ltee-profile hz=.. samples=.. dropped=.. duration_s=.. req_samples=..`
+/// header followed by collapsed stack lines weighted by sample count.
+SampledSession& CpuProfiler();
 
-struct ProfilerOptions {
-  /// Samples per second of process CPU time. Clamped to [1, 1000].
-  int hz = 99;
-  /// Capacity of each of the per-thread-shard sample rings. A shard that
-  /// fills up counts further samples as dropped — the handler never
-  /// blocks and never reallocates. The default holds ~2.5 minutes of
-  /// 99 Hz samples per shard (~60 MB across all shards, allocated only
-  /// when profiling starts).
-  size_t ring_capacity = 16384;
-};
-
-/// Arms the SIGPROF handler and interval timer. Also turns on
-/// util::trace span tracking for the duration so samples carry span
-/// names. Returns false (with `error`) when a capture is already active
-/// or the platform lacks stack-capture support.
-bool StartProfiler(const ProfilerOptions& options, std::string* error);
-
-/// True between a successful StartProfiler and the matching StopProfiler.
-bool ProfilerActive();
-
-/// Disarms the timer and handler, restores the previous SIGPROF
-/// disposition, and leaves the collected samples in place for
-/// CollectCollapsedProfile. Idempotent.
-void StopProfiler();
-
-/// Counters of the current (or just-stopped) capture.
-struct ProfileStats {
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-  int hz = 0;
-  double duration_s = 0.0;
-};
-ProfileStats CurrentProfileStats();
-
-/// Cumulative across all captures in this process (feeds /stats).
-struct ProfilerTotals {
-  uint64_t captures = 0;
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-};
-ProfilerTotals GetProfilerTotals();
-
-/// Symbolizes and aggregates the collected samples into collapsed-stack
-/// text: `# ltee-profile hz=.. samples=.. dropped=.. duration_s=..`
-/// header comments followed by flamegraph.pl-compatible lines
-/// `span:NAME;root_frame;...;leaf_frame COUNT` (root first, count last,
-/// samples with no open span use `span:(none)`). Call after StopProfiler;
-/// collecting while sampling is active stops it first.
-std::string CollectCollapsedProfile();
-
-/// Drops all collected samples and per-capture counters (cumulative
-/// totals survive). Must not be called while sampling is active.
-void ResetProfiler();
-
-/// Bounded on-demand capture: start at `hz`, sample for `seconds` of
-/// wall time, stop, and return the collapsed profile. Refuses (returns
-/// false with `error`) when another capture is active — the caller maps
-/// that to 503. Used by the /profile endpoint and tests.
-bool CaptureProfile(double seconds, int hz, std::string* collapsed,
-                    std::string* error);
-
-/// Parsed + aggregated view of a collapsed profile, shared by
-/// `ltee_cli analyze-profile`, `ltee_top --profile`, and tests.
-struct ProfileAnalysis {
-  int hz = 0;
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-  double duration_s = 0.0;
-
-  struct FrameStat {
-    std::string name;
-    /// Samples with this frame at the leaf (the CPU was in it).
-    uint64_t self = 0;
-    /// Samples with this frame anywhere on the stack.
-    uint64_t total = 0;
-  };
-  /// Every distinct frame, sorted by self descending (total breaks ties).
-  std::vector<FrameStat> frames;
-
-  struct SpanStat {
-    std::string name;
-    uint64_t samples = 0;
-    /// Share of all samples, in percent.
-    double pct = 0.0;
-  };
-  /// Per-span CPU attribution, sorted by samples descending.
-  std::vector<SpanStat> spans;
-};
-
-/// Parses collapsed-stack text (as produced by CollectCollapsedProfile).
-/// Unknown `#` headers are ignored; a malformed stack line fails the
-/// parse. An empty profile (headers only) parses successfully with zero
-/// frames.
-bool ParseCollapsedProfile(const std::string& text, ProfileAnalysis* out,
-                           std::string* error);
-
-/// Human-readable report: capture header, top-N functions by self
-/// samples, and the per-span CPU breakdown.
-std::string ProfileAnalysisToText(const ProfileAnalysis& analysis,
-                                  size_t top_n = 20);
-
-/// Same content as one JSON object: {"hz","samples","dropped",
-/// "duration_s","top_functions":[{name,self,total,self_pct}],
-/// "spans":[{name,samples,pct}]}.
-std::string ProfileAnalysisToJson(const ProfileAnalysis& analysis,
-                                  size_t top_n = 20);
-
-/// Collapsed-format escaping shared by every profile exporter (CPU and
-/// heap): strips the parameter list from demangled C++ names (keeping
-/// "operator()"'s parens) and replaces the two reserved characters —
-/// ';' separates frames, ' ' separates the trailing count.
-std::string CollapsedFrameName(const std::string& raw);
-std::string CollapsedSpanName(const char* span);
+inline constexpr int kDefaultProfilerHz = 99;
 
 }  // namespace ltee::obsv
 

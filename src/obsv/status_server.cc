@@ -12,6 +12,57 @@
 
 namespace ltee::obsv {
 
+namespace {
+
+/// GET /profile and GET /memory: one capture of `session` lasting
+/// `seconds` (a number in (0, 30], default 1) at the integer
+/// `rate_param` (in [1, max_rate], default `rate`; the session rate is
+/// that times `rate_unit`). Malformed parameters are 400s. While a
+/// session is open the answer is 503 — a second capture is refused, never
+/// queued behind a foreign one.
+HttpResponse BoundedCapture(const HttpRequest& request,
+                            SampledSession& session, const char* rate_param,
+                            long rate, long max_rate, long rate_unit) {
+  HttpResponse response;
+  double seconds = 1.0;
+  const std::string seconds_param = QueryParam(request.query, "seconds");
+  if (!seconds_param.empty()) {
+    char* end = nullptr;
+    seconds = std::strtod(seconds_param.c_str(), &end);
+    if (end == nullptr || *end != '\0' || !(seconds > 0.0) ||
+        seconds > 30.0) {
+      response.status = 400;
+      response.body = "seconds must be a number in (0, 30]\n";
+      return response;
+    }
+  }
+  const std::string rate_text = QueryParam(request.query, rate_param);
+  if (!rate_text.empty()) {
+    char* end = nullptr;
+    rate = std::strtol(rate_text.c_str(), &end, 10);
+    if (end == nullptr || *end != '\0' || rate < 1 || rate > max_rate) {
+      response.status = 400;
+      response.body = std::string(rate_param) +
+                      " must be an integer in [1, " +
+                      std::to_string(max_rate) + "]\n";
+      return response;
+    }
+  }
+  std::string collapsed;
+  std::string error;
+  if (!session.Capture(seconds, int64_t{rate} * rate_unit, &collapsed,
+                       &error)) {
+    response.status = 503;
+    response.body = error + "\n";
+    return response;
+  }
+  response.content_type = "text/plain; charset=utf-8";
+  response.body = std::move(collapsed);
+  return response;
+}
+
+}  // namespace
+
 StatusServer::StatusServer(size_t num_workers) : server_(num_workers) {
   server_.Handle("/healthz", [](const HttpRequest&) {
     HttpResponse response;
@@ -36,87 +87,15 @@ StatusServer::StatusServer(size_t num_workers) : server_(num_workers) {
     response.body = util::trace::ExportChromeTrace();
     return response;
   });
+  // Bounded on-demand captures: a worker thread samples the whole
+  // process for `seconds`, then streams the collapsed stacks.
   server_.Handle("/profile", [](const HttpRequest& request) {
-    HttpResponse response;
-    // Bounded on-demand capture: a worker thread profiles the whole
-    // process for `seconds`, then streams the collapsed stacks.
-    // Concurrent captures are capped at one — the second caller gets 503
-    // and retries, it is never queued behind a foreign capture.
-    double seconds = 1.0;
-    int hz = 99;
-    const std::string seconds_param = QueryParam(request.query, "seconds");
-    if (!seconds_param.empty()) {
-      char* end = nullptr;
-      seconds = std::strtod(seconds_param.c_str(), &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0.0) ||
-          seconds > 30.0) {
-        response.status = 400;
-        response.body = "seconds must be a number in (0, 30]\n";
-        return response;
-      }
-    }
-    const std::string hz_param = QueryParam(request.query, "hz");
-    if (!hz_param.empty()) {
-      char* end = nullptr;
-      const long parsed = std::strtol(hz_param.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || parsed < 1 || parsed > 1000) {
-        response.status = 400;
-        response.body = "hz must be an integer in [1, 1000]\n";
-        return response;
-      }
-      hz = static_cast<int>(parsed);
-    }
-    std::string collapsed;
-    std::string error;
-    if (!CaptureProfile(seconds, hz, &collapsed, &error)) {
-      response.status = 503;
-      response.body = error + "\n";
-      return response;
-    }
-    response.content_type = "text/plain; charset=utf-8";
-    response.body = std::move(collapsed);
-    return response;
+    return BoundedCapture(request, CpuProfiler(), "hz", kDefaultProfilerHz,
+                          1000, 1);
   });
   server_.Handle("/memory", [](const HttpRequest& request) {
-    HttpResponse response;
-    // Heap twin of /profile: sample allocation stacks for `seconds`,
-    // one sample per `sample_kb` allocated kilobytes per thread, then
-    // stream the collapsed heap profile. One capture at a time; a
-    // concurrent caller gets 503, never queued.
-    double seconds = 1.0;
-    size_t sample_kb = 64;
-    const std::string seconds_param = QueryParam(request.query, "seconds");
-    if (!seconds_param.empty()) {
-      char* end = nullptr;
-      seconds = std::strtod(seconds_param.c_str(), &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0.0) ||
-          seconds > 30.0) {
-        response.status = 400;
-        response.body = "seconds must be a number in (0, 30]\n";
-        return response;
-      }
-    }
-    const std::string sample_param = QueryParam(request.query, "sample_kb");
-    if (!sample_param.empty()) {
-      char* end = nullptr;
-      const long parsed = std::strtol(sample_param.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || parsed < 1 || parsed > 65536) {
-        response.status = 400;
-        response.body = "sample_kb must be an integer in [1, 65536]\n";
-        return response;
-      }
-      sample_kb = static_cast<size_t>(parsed);
-    }
-    std::string collapsed;
-    std::string error;
-    if (!CaptureHeapProfile(seconds, sample_kb, &collapsed, &error)) {
-      response.status = 503;
-      response.body = error + "\n";
-      return response;
-    }
-    response.content_type = "text/plain; charset=utf-8";
-    response.body = std::move(collapsed);
-    return response;
+    return BoundedCapture(request, HeapProfiler(), "sample_kb",
+                          kDefaultHeapSampleBytes / 1024, 65536, 1024);
   });
   server_.Handle("/report", [this](const HttpRequest&) {
     HttpResponse response;

@@ -28,6 +28,19 @@ double GaugeOr(const util::MetricsSnapshot& snap, std::string_view name,
   return fallback;
 }
 
+/// `"active":..,"captures":..,"samples":..,"dropped":..` of one profiler.
+void AppendSessionJson(std::string* out, SampledSession& session) {
+  const CaptureTotals totals = session.Totals();
+  *out += "\"active\":";
+  *out += session.Active() ? "true" : "false";
+  *out += ",\"captures\":";
+  *out += std::to_string(totals.captures);
+  *out += ",\"samples\":";
+  *out += std::to_string(totals.samples);
+  *out += ",\"dropped\":";
+  *out += std::to_string(totals.dropped);
+}
+
 }  // namespace
 
 RequestTelemetry& GlobalRequestTelemetry() {
@@ -87,17 +100,9 @@ std::string RenderStatsJson(int64_t in_flight) {
   out += std::to_string(access_log.slow_count());
   out += ",\"slow_threshold_ms\":";
   util::AppendJsonNumber(&out, access_log.slow_threshold_ms());
-  const ProfilerTotals profiler = GetProfilerTotals();
-  out += "},\"profiler\":{\"active\":";
-  out += ProfilerActive() ? "true" : "false";
-  out += ",\"captures\":";
-  out += std::to_string(profiler.captures);
-  out += ",\"samples\":";
-  out += std::to_string(profiler.samples);
-  out += ",\"dropped\":";
-  out += std::to_string(profiler.dropped);
+  out += "},\"profiler\":{";
+  AppendSessionJson(&out, CpuProfiler());
   const MemtrackTotals mem = GetMemtrackTotals();
-  const MemtrackCaptureTotals heap = GetMemtrackCaptureTotals();
   out += "},\"memory\":{\"tracking\":";
   out += MemTrackingEnabled() ? "true" : "false";
   out += ",\"span_accounting\":";
@@ -112,14 +117,8 @@ std::string RenderStatsJson(int64_t in_flight) {
   out += std::to_string(mem.cum_bytes);
   out += ",\"peak_rss_kb\":";
   out += std::to_string(ReadPeakRssBytes() / 1024);
-  out += ",\"heap_profiler\":{\"active\":";
-  out += HeapProfilerActive() ? "true" : "false";
-  out += ",\"captures\":";
-  out += std::to_string(heap.captures);
-  out += ",\"samples\":";
-  out += std::to_string(heap.samples);
-  out += ",\"dropped\":";
-  out += std::to_string(heap.dropped);
+  out += ",\"heap_profiler\":{";
+  AppendSessionJson(&out, HeapProfiler());
   out += "}}}";
   return out;
 }

@@ -54,26 +54,6 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b) {
                    static_cast<double>(longest);
 }
 
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  std::unordered_set<std::string> sa(a.begin(), a.end());
-  std::unordered_set<std::string> sb(b.begin(), b.end());
-  size_t inter = 0;
-  for (const auto& t : sa) inter += sb.count(t);
-  size_t uni = sa.size() + sb.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-double JaccardSimilarity(std::span<const uint32_t> a_sorted,
-                         std::span<const uint32_t> b_sorted) {
-  if (a_sorted.empty() && b_sorted.empty()) return 1.0;
-  const size_t inter = SortedIntersectionSize(a_sorted, b_sorted);
-  const size_t uni = a_sorted.size() + b_sorted.size() - inter;
-  return uni == 0 ? 1.0
-                  : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 namespace {
 
 double MongeElkanDirected(const std::vector<std::string>& a,
@@ -131,18 +111,6 @@ double MongeElkanLevenshtein(std::span<const uint32_t> a,
   for (size_t j = 0; j < b.size(); ++j) b_str[j] = dict.token(b[j]);
   return std::max(MongeElkanDirectedIds(a, b, a_str, b_str),
                   MongeElkanDirectedIds(b, a, b_str, a_str));
-}
-
-double CosineBinary(const std::unordered_set<std::string>& a,
-                    const std::unordered_set<std::string>& b) {
-  if (a.empty() || b.empty()) return 0.0;
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
-  size_t inter = 0;
-  for (const auto& t : small) inter += large.count(t);
-  return static_cast<double>(inter) /
-         (std::sqrt(static_cast<double>(a.size())) *
-          std::sqrt(static_cast<double>(b.size())));
 }
 
 double CosineBinary(std::span<const uint32_t> a_sorted,

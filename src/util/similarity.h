@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace ltee::util {
@@ -19,16 +18,6 @@ int LevenshteinDistance(std::string_view a, std::string_view b);
 /// Normalized Levenshtein similarity in [0, 1]:
 /// 1 - distance / max(|a|, |b|). Two empty strings are fully similar.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
-
-/// Jaccard similarity of two token sets.
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b);
-
-/// Jaccard similarity of two interned token sets. Both spans must be
-/// sorted and duplicate-free (see util::SortedUnique). Numerically
-/// identical to the string overload on the same token sets.
-double JaccardSimilarity(std::span<const uint32_t> a_sorted,
-                         std::span<const uint32_t> b_sorted);
 
 /// Monge-Elkan similarity with Levenshtein as the inner similarity
 /// function, as used by the paper's LABEL metrics: the mean over tokens of
@@ -48,12 +37,9 @@ double MongeElkanLevenshtein(std::span<const uint32_t> a,
                              std::span<const uint32_t> b,
                              const TokenDictionary& dict);
 
-/// Cosine similarity of two *binary* term vectors represented as sets.
-double CosineBinary(const std::unordered_set<std::string>& a,
-                    const std::unordered_set<std::string>& b);
-
-/// Cosine similarity of binary term vectors as sorted-unique interned
-/// token sets. Numerically identical to the set-of-strings overload.
+/// Cosine similarity of two *binary* term vectors given as interned token
+/// sets. Both spans must be sorted and duplicate-free (see
+/// util::SortedUnique).
 double CosineBinary(std::span<const uint32_t> a_sorted,
                     std::span<const uint32_t> b_sorted);
 

@@ -17,7 +17,7 @@
 
 #include "obsv/http_client.h"
 #include "obsv/memtrack.h"
-#include "obsv/profiler.h"
+#include "obsv/profile_analysis.h"
 #include "obsv/status_server.h"
 #include "pipeline/gold_artifacts.h"
 #include "pipeline/pipeline.h"
@@ -159,11 +159,11 @@ TEST(HeapProfiler, SampledCollectRoundTripAndReset) {
   if (!util::StackCaptureSupported()) {
     GTEST_SKIP() << "no backtrace/dladdr on this platform";
   }
-  obsv::HeapProfilerOptions options;
-  options.sample_bytes = 1024;  // sample every allocation in the test
+  obsv::SampledSession& heap = obsv::HeapProfiler();
+  constexpr int64_t kSampleBytes = 1024;  // every allocation in the test
   std::string error;
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
-  EXPECT_TRUE(obsv::HeapProfilerActive());
+  ASSERT_TRUE(heap.Start(kSampleBytes, &error)) << error;
+  EXPECT_TRUE(heap.Active());
   EXPECT_TRUE(obsv::MemTrackingEnabled());
 
   std::vector<std::unique_ptr<char[]>> blocks;
@@ -171,16 +171,16 @@ TEST(HeapProfiler, SampledCollectRoundTripAndReset) {
     util::trace::ScopedSpan span("memtest.heap_span");
     blocks = AllocateBlocks(32, 16 * 1024);
   }
-  obsv::StopHeapProfiler();
-  EXPECT_FALSE(obsv::HeapProfilerActive());
+  heap.Stop();
+  EXPECT_FALSE(heap.Active());
 
-  const obsv::HeapProfileStats stats = obsv::CurrentHeapProfileStats();
+  const obsv::SessionStats stats = heap.Stats();
   EXPECT_GT(stats.samples, 0u);
-  EXPECT_EQ(stats.sample_kb, 1u);
+  EXPECT_EQ(stats.rate, kSampleBytes);
 
   // The session stays owned through Stop and Collect; no second start.
-  const std::string collapsed = obsv::CollectCollapsedHeapProfile();
-  EXPECT_FALSE(obsv::StartHeapProfiler(options, &error));
+  const std::string collapsed = heap.Collect();
+  EXPECT_FALSE(heap.Start(kSampleBytes, &error));
   EXPECT_FALSE(error.empty());
 
   EXPECT_EQ(collapsed.rfind("# ltee-profile ", 0), 0u);
@@ -189,18 +189,16 @@ TEST(HeapProfiler, SampledCollectRoundTripAndReset) {
   EXPECT_NE(collapsed.find("# ltee-memtrack-span memtest.heap_span "),
             std::string::npos);
 
-  // Round trip: stack lines parse with the CPU parser (live bytes as
-  // counts), the heap header with its own.
+  // Round trip: one parser reads the heap header, the span lines and the
+  // stack lines (live bytes as counts).
   obsv::ProfileAnalysis analysis;
   ASSERT_TRUE(obsv::ParseCollapsedProfile(collapsed, &analysis, &error))
       << error;
-  obsv::HeapProfileHeader header;
-  ASSERT_TRUE(obsv::ParseHeapProfileHeader(collapsed, &header));
-  EXPECT_TRUE(header.is_heap);
-  EXPECT_EQ(header.sample_kb, 1u);
-  EXPECT_GT(header.live_bytes, 0u);
-  EXPECT_GT(header.peak_rss_kb, 0u);
-  EXPECT_FALSE(header.spans.empty());
+  EXPECT_TRUE(analysis.heap);
+  EXPECT_EQ(analysis.sample_kb, 1u);
+  EXPECT_GT(analysis.live_bytes, 0u);
+  EXPECT_GT(analysis.peak_rss_kb, 0u);
+  EXPECT_FALSE(analysis.span_bytes.empty());
   uint64_t span_bytes = 0;
   for (const auto& span : analysis.spans) {
     if (span.name == "memtest.heap_span") span_bytes = span.samples;
@@ -209,35 +207,12 @@ TEST(HeapProfiler, SampledCollectRoundTripAndReset) {
   EXPECT_GE(span_bytes, 32u * 16u * 1024u);
 
   // Reset closes the session: stats clear and a new capture can start.
-  obsv::ResetHeapProfiler();
-  EXPECT_EQ(obsv::CurrentHeapProfileStats().samples, 0u);
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
-  obsv::StopHeapProfiler();
-  obsv::ResetHeapProfiler();
+  heap.Reset();
+  EXPECT_EQ(heap.Stats().samples, 0u);
+  ASSERT_TRUE(heap.Start(kSampleBytes, &error)) << error;
+  heap.Stop();
+  heap.Reset();
   EXPECT_FALSE(obsv::MemTrackingEnabled());
-}
-
-TEST(HeapProfiler, BoundedCaptureIsExclusiveWhileSessionOpen) {
-  if (!obsv::MemTrackingSupported()) {
-    GTEST_SKIP() << "allocator interposition compiled out";
-  }
-  if (!util::StackCaptureSupported()) {
-    GTEST_SKIP() << "no backtrace/dladdr on this platform";
-  }
-  obsv::HeapProfilerOptions options;
-  std::string error;
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
-  std::string collapsed;
-  EXPECT_FALSE(obsv::CaptureHeapProfile(0.05, 64, &collapsed, &error));
-  obsv::StopHeapProfiler();
-  EXPECT_FALSE(obsv::CaptureHeapProfile(0.05, 64, &collapsed, &error));
-  (void)obsv::CollectCollapsedHeapProfile();
-  obsv::ResetHeapProfiler();
-
-  ASSERT_TRUE(obsv::CaptureHeapProfile(0.05, 64, &collapsed, &error))
-      << error;
-  EXPECT_EQ(collapsed.rfind("# ltee-profile ", 0), 0u);
-  EXPECT_NE(collapsed.find(" heap=1"), std::string::npos);
 }
 
 TEST(MemoryEndpoint, ValidatesParametersAndServesCaptures) {
@@ -270,15 +245,15 @@ TEST(MemoryEndpoint, ValidatesParametersAndServesCaptures) {
 
   // While a heap session is open elsewhere the endpoint answers 503
   // (busy), never queues.
-  obsv::HeapProfilerOptions options;
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
+  obsv::SampledSession& heap = obsv::HeapProfiler();
+  ASSERT_TRUE(heap.Start(obsv::kDefaultHeapSampleBytes, &error)) << error;
   ASSERT_TRUE(obsv::HttpGet(server.port(), "/memory?seconds=0.1", &status,
                             &body, &error))
       << error;
   EXPECT_EQ(status, 503);
-  obsv::StopHeapProfiler();
-  (void)obsv::CollectCollapsedHeapProfile();
-  obsv::ResetHeapProfiler();
+  heap.Stop();
+  (void)heap.Collect();
+  heap.Reset();
 
   // Happy path: keep a worker allocating so the capture window sees live
   // bytes, then round-trip the collapsed heap body.
@@ -299,10 +274,10 @@ TEST(MemoryEndpoint, ValidatesParametersAndServesCaptures) {
   allocator.join();
   EXPECT_EQ(status, 200);
   EXPECT_EQ(body.rfind("# ltee-profile ", 0), 0u);
-  obsv::HeapProfileHeader header;
-  ASSERT_TRUE(obsv::ParseHeapProfileHeader(body, &header));
-  EXPECT_TRUE(header.is_heap);
-  EXPECT_EQ(header.sample_kb, 1u);
+  obsv::ProfileAnalysis analysis;
+  ASSERT_TRUE(obsv::ParseCollapsedProfile(body, &analysis, &error)) << error;
+  EXPECT_TRUE(analysis.heap);
+  EXPECT_EQ(analysis.sample_kb, 1u);
   held.clear();
   server.Stop();
 }
@@ -321,26 +296,23 @@ TEST(HeapAnalysis, ParsesHeaderAndRendersTextAndJson) {
   std::string error;
   ASSERT_TRUE(obsv::ParseCollapsedProfile(text, &analysis, &error)) << error;
   EXPECT_EQ(analysis.samples, 3u);
+  EXPECT_TRUE(analysis.heap);
+  EXPECT_EQ(analysis.sample_kb, 64u);
+  EXPECT_EQ(analysis.live_bytes, 3145728u);
+  EXPECT_EQ(analysis.live_allocs, 3u);
+  EXPECT_EQ(analysis.peak_rss_kb, 102400u);
+  ASSERT_EQ(analysis.span_bytes.size(), 2u);
+  EXPECT_EQ(analysis.span_bytes[0].span, "alpha");
+  EXPECT_EQ(analysis.span_bytes[0].live_bytes, 2097152u);
+  EXPECT_EQ(analysis.span_bytes[0].cum_bytes, 4194304u);
+  EXPECT_EQ(analysis.span_bytes[0].allocs, 10u);
 
-  obsv::HeapProfileHeader header;
-  ASSERT_TRUE(obsv::ParseHeapProfileHeader(text, &header));
-  EXPECT_TRUE(header.is_heap);
-  EXPECT_EQ(header.sample_kb, 64u);
-  EXPECT_EQ(header.live_bytes, 3145728u);
-  EXPECT_EQ(header.live_allocs, 3u);
-  EXPECT_EQ(header.peak_rss_kb, 102400u);
-  ASSERT_EQ(header.spans.size(), 2u);
-  EXPECT_EQ(header.spans[0].span, "alpha");
-  EXPECT_EQ(header.spans[0].live_bytes, 2097152u);
-  EXPECT_EQ(header.spans[0].cum_bytes, 4194304u);
-  EXPECT_EQ(header.spans[0].allocs, 10u);
-
-  const std::string report = obsv::HeapAnalysisToText(analysis, header);
+  const std::string report = obsv::HeapAnalysisToText(analysis);
   EXPECT_NE(report.find("alpha"), std::string::npos);
   EXPECT_NE(report.find("hot"), std::string::npos);
   EXPECT_NE(report.find("peak RSS"), std::string::npos);
 
-  const std::string json = obsv::HeapAnalysisToJson(analysis, header);
+  const std::string json = obsv::HeapAnalysisToJson(analysis);
   ASSERT_TRUE(util::JsonIsValid(json, &error)) << error << "\n" << json;
   EXPECT_NE(json.find("\"live_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"spans\""), std::string::npos);
@@ -348,9 +320,10 @@ TEST(HeapAnalysis, ParsesHeaderAndRendersTextAndJson) {
   EXPECT_NE(json.find("\"alpha\""), std::string::npos);
 
   // A CPU profile has no heap header.
-  obsv::HeapProfileHeader cpu_header;
-  EXPECT_FALSE(obsv::ParseHeapProfileHeader(
-      "# ltee-profile hz=99 samples=10\nspan:a;main 10\n", &cpu_header));
+  obsv::ProfileAnalysis cpu;
+  ASSERT_TRUE(obsv::ParseCollapsedProfile(
+      "# ltee-profile hz=99 samples=10\nspan:a;main 10\n", &cpu, &error));
+  EXPECT_FALSE(cpu.heap);
 }
 
 // ---------------------------------------------------------------------------

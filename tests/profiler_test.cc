@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "obsv/http_client.h"
+#include "obsv/memtrack.h"
+#include "obsv/profile_analysis.h"
 #include "obsv/profiler.h"
 #include "obsv/span_analytics.h"
 #include "obsv/status_server.h"
@@ -22,6 +24,7 @@
 #include "pipeline/training.h"
 #include "test_dataset.h"
 #include "util/json.h"
+#include "util/json_parse.h"
 #include "util/stack_capture.h"
 #include "util/trace.h"
 
@@ -86,25 +89,24 @@ TEST(Profiler, CaptureAttributesSamplesToOpenSpans) {
   if (!util::StackCaptureSupported()) {
     GTEST_SKIP() << "no backtrace/dladdr on this platform";
   }
-  obsv::ProfilerOptions options;
-  options.hz = 499;
+  obsv::SampledSession& cpu = obsv::CpuProfiler();
   std::string error;
-  ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
-  EXPECT_TRUE(obsv::ProfilerActive());
+  ASSERT_TRUE(cpu.Start(499, &error)) << error;
+  EXPECT_TRUE(cpu.Active());
   EXPECT_TRUE(util::trace::IsSpanTrackingEnabled());
   {
-    // Opened after StartProfiler so the span-name mirror is live.
+    // Opened after Start so the span-name mirror is live.
     util::trace::ScopedSpan span("test.profiler_burn");
     BurnCpu(0.4);
   }
-  obsv::StopProfiler();
-  EXPECT_FALSE(obsv::ProfilerActive());
+  cpu.Stop();
+  EXPECT_FALSE(cpu.Active());
 
-  const obsv::ProfileStats stats = obsv::CurrentProfileStats();
+  const obsv::SessionStats stats = cpu.Stats();
   EXPECT_GT(stats.samples, 0u);
-  EXPECT_EQ(stats.hz, 499);
+  EXPECT_EQ(stats.rate, 499);
 
-  const std::string collapsed = obsv::CollectCollapsedProfile();
+  const std::string collapsed = cpu.Collect();
   EXPECT_EQ(collapsed.rfind("# ltee-profile ", 0), 0u);
   EXPECT_NE(collapsed.find("span:test.profiler_burn;"), std::string::npos);
 
@@ -121,35 +123,76 @@ TEST(Profiler, CaptureAttributesSamplesToOpenSpans) {
   // frames sampled outside it.
   EXPECT_GT(burn_samples, analysis.samples / 2);
 
-  obsv::ResetProfiler();
-  EXPECT_EQ(obsv::CurrentProfileStats().samples, 0u);
+  cpu.Reset();
+  EXPECT_EQ(cpu.Stats().samples, 0u);
   EXPECT_FALSE(util::trace::IsSpanTrackingEnabled());
 }
 
-TEST(Profiler, SecondConcurrentCaptureIsRefusedUntilReset) {
+/// One profiler whose session the exclusivity test drives.
+struct SessionCase {
+  const char* name;
+  obsv::SampledSession& (*session)();
+  int64_t rate;
+  /// A header key only this profiler's collapsed output carries.
+  const char* header_key;
+};
+
+void PrintTo(const SessionCase& c, std::ostream* os) { *os << c.name; }
+
+class SessionExclusivity : public ::testing::TestWithParam<SessionCase> {};
+
+TEST_P(SessionExclusivity, SecondCaptureIsRefusedUntilReset) {
   if (!util::StackCaptureSupported()) {
     GTEST_SKIP() << "no backtrace/dladdr on this platform";
   }
-  obsv::ProfilerOptions options;
+  const SessionCase& c = GetParam();
+  if (c.session == &obsv::HeapProfiler && !obsv::MemTrackingSupported()) {
+    GTEST_SKIP() << "allocator interposition compiled out";
+  }
+  obsv::SampledSession& session = c.session();
+  const uint64_t captures = session.Totals().captures;
   std::string error;
-  ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
+  ASSERT_TRUE(session.Start(c.rate, &error)) << error;
+  EXPECT_EQ(session.Totals().captures, captures + 1);
   // The session is exclusive: no second start, no bounded capture.
-  EXPECT_FALSE(obsv::StartProfiler(options, &error));
+  EXPECT_FALSE(session.Start(c.rate, &error));
   EXPECT_FALSE(error.empty());
   std::string collapsed;
-  EXPECT_FALSE(obsv::CaptureProfile(0.05, 99, &collapsed, &error));
+  EXPECT_FALSE(session.Capture(0.05, c.rate, &collapsed, &error));
+
+  // Stop is idempotent: a second one neither re-counts the samples nor
+  // moves the duration.
+  session.Stop();
+  const obsv::CaptureTotals stopped = session.Totals();
+  const double duration_s = session.Stats().duration_s;
+  session.Stop();
+  EXPECT_FALSE(session.Active());
+  EXPECT_EQ(session.Totals().samples, stopped.samples);
+  EXPECT_EQ(session.Totals().dropped, stopped.dropped);
+  EXPECT_EQ(session.Stats().duration_s, duration_s);
 
   // The session stays owned through Stop and Collect — an exporter must
   // never race a new capture reusing the rings.
-  obsv::StopProfiler();
-  EXPECT_FALSE(obsv::CaptureProfile(0.05, 99, &collapsed, &error));
-  (void)obsv::CollectCollapsedProfile();
-  obsv::ResetProfiler();
+  EXPECT_FALSE(session.Capture(0.05, c.rate, &collapsed, &error));
+  (void)session.Collect();
+  session.Reset();
+  EXPECT_EQ(session.Totals().captures, captures + 1);
 
-  // Reset closes the session; the next bounded capture succeeds.
-  ASSERT_TRUE(obsv::CaptureProfile(0.05, 99, &collapsed, &error)) << error;
+  // Reset closes the session; the next bounded capture succeeds and
+  // counts as one more capture.
+  ASSERT_TRUE(session.Capture(0.05, c.rate, &collapsed, &error)) << error;
+  EXPECT_EQ(session.Totals().captures, captures + 2);
   EXPECT_EQ(collapsed.rfind("# ltee-profile ", 0), 0u);
+  EXPECT_NE(collapsed.find(c.header_key), std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothProfilers, SessionExclusivity,
+    ::testing::Values(
+        SessionCase{"cpu", &obsv::CpuProfiler, obsv::kDefaultProfilerHz,
+                    " hz="},
+        SessionCase{"heap", &obsv::HeapProfiler,
+                    obsv::kDefaultHeapSampleBytes, " heap=1"}));
 
 TEST(Profiler, ParseCollapsedComputesSelfTotalAndSpans) {
   const std::string text =
@@ -219,6 +262,33 @@ TEST(Profiler, AnalysisRendersValidJsonAndText) {
   EXPECT_NE(report.find("alpha"), std::string::npos);
 }
 
+TEST(ProfileAnalysis, LongFrameNamesSurviveEveryReport) {
+  // Long demangled template names must reach every report whole, and
+  // never break its JSON.
+  const std::string name = "ns::Widget<" + std::string(300, 'T') + ">::run";
+  for (const char* header :
+       {"# ltee-profile hz=99 samples=2 dropped=0 duration_s=0.100\n",
+        "# ltee-profile heap=1 sample_kb=64 samples=2 dropped=0 "
+        "duration_s=0.100 live_bytes=2048 live_allocs=2 peak_rss_kb=1\n"}) {
+    const std::string text =
+        std::string(header) + "span:alpha;main;" + name + " 2048\n";
+    obsv::ProfileAnalysis analysis;
+    std::string error;
+    ASSERT_TRUE(obsv::ParseCollapsedProfile(text, &analysis, &error))
+        << error;
+    const bool heap = analysis.heap;
+    const std::string json = heap ? obsv::HeapAnalysisToJson(analysis)
+                                  : obsv::ProfileAnalysisToJson(analysis);
+    util::JsonValue parsed;
+    EXPECT_TRUE(util::ParseJson(json, &parsed, &error)) << error << "\n"
+                                                        << json;
+    EXPECT_NE(json.find(name), std::string::npos) << json;
+    const std::string report = heap ? obsv::HeapAnalysisToText(analysis)
+                                    : obsv::ProfileAnalysisToText(analysis);
+    EXPECT_NE(report.find(name + "\n"), std::string::npos) << report;
+  }
+}
+
 TEST(ProfileEndpoint, ValidatesParametersAndSerializesCaptures) {
   obsv::StatusServer server;
   std::string error;
@@ -238,15 +308,15 @@ TEST(ProfileEndpoint, ValidatesParametersAndSerializesCaptures) {
   if (util::StackCaptureSupported()) {
     // While a capture session is open elsewhere the endpoint answers 503
     // (busy), never queues.
-    obsv::ProfilerOptions options;
-    ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
+    obsv::SampledSession& cpu = obsv::CpuProfiler();
+    ASSERT_TRUE(cpu.Start(obsv::kDefaultProfilerHz, &error)) << error;
     ASSERT_TRUE(obsv::HttpGet(server.port(), "/profile?seconds=0.1",
                               &status, &body, &error))
         << error;
     EXPECT_EQ(status, 503);
-    obsv::StopProfiler();
-    (void)obsv::CollectCollapsedProfile();
-    obsv::ResetProfiler();
+    cpu.Stop();
+    (void)cpu.Collect();
+    cpu.Reset();
 
     // Happy path: keep a worker burning CPU so the bounded capture has
     // something to sample, then round-trip the collapsed body.
@@ -284,10 +354,9 @@ TEST(ProfilerTraceConsistency, SpanAttributionAgreesWithChromeTrace) {
 
   util::trace::Clear();
   util::trace::SetEnabled(true);
-  obsv::ProfilerOptions options;
-  options.hz = 499;
+  obsv::SampledSession& cpu = obsv::CpuProfiler();
   std::string error;
-  ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
+  ASSERT_TRUE(cpu.Start(499, &error)) << error;
 
   pipeline::PipelineOptions pipe_options;
   pipeline::LteePipeline pipe(ds.kb, pipe_options);
@@ -297,11 +366,11 @@ TEST(ProfilerTraceConsistency, SpanAttributionAgreesWithChromeTrace) {
   for (const auto& gs : ds.gold) classes.push_back(gs.cls);
   (void)pipe.Run(ds.gs_corpus, classes);
 
-  obsv::StopProfiler();
+  cpu.Stop();
   util::trace::SetEnabled(false);
   const std::string trace_json = util::trace::ExportChromeTrace();
-  const std::string collapsed = obsv::CollectCollapsedProfile();
-  obsv::ResetProfiler();
+  const std::string collapsed = cpu.Collect();
+  cpu.Reset();
 
   obsv::ProfileAnalysis profile;
   ASSERT_TRUE(obsv::ParseCollapsedProfile(collapsed, &profile, &error))

@@ -1,6 +1,10 @@
 #include "util/similarity.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/token_dictionary.h"
 
 namespace ltee::util {
 namespace {
@@ -17,17 +21,6 @@ TEST(LevenshteinSimilarityTest, NormalizedToUnitInterval) {
   EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
   EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "xyz"), 0.0);
   EXPECT_NEAR(LevenshteinSimilarity("abcd", "abcx"), 0.75, 1e-9);
-}
-
-TEST(JaccardTest, SetOverlap) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "b"}, {"b", "c"}), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity(std::vector<std::string>{},
-                                     std::vector<std::string>{}),
-                   1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a"}, std::vector<std::string>{}),
-                   0.0);
-  // Duplicates are set-collapsed.
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "a"}, {"a"}), 1.0);
 }
 
 TEST(MongeElkanTest, IdenticalTokensAreFullySimilar) {
@@ -55,8 +48,9 @@ TEST(MongeElkanTest, SubsetOfTokensScoresHighViaSymmetry) {
 }
 
 TEST(CosineBinaryTest, OverlapScaledByNorms) {
-  std::unordered_set<std::string> a = {"x", "y"};
-  std::unordered_set<std::string> b = {"y", "z"};
+  TokenDictionary dict;
+  const std::vector<uint32_t> a = SortedUnique(dict.InternTokens("x y"));
+  const std::vector<uint32_t> b = SortedUnique(dict.InternTokens("y z"));
   EXPECT_NEAR(CosineBinary(a, b), 0.5, 1e-9);
   EXPECT_DOUBLE_EQ(CosineBinary(a, a), 1.0);
   EXPECT_DOUBLE_EQ(CosineBinary({}, a), 0.0);

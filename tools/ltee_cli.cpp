@@ -58,6 +58,7 @@
 #include "obsv/crash_flush.h"
 #include "obsv/http_client.h"
 #include "obsv/memtrack.h"
+#include "obsv/profile_analysis.h"
 #include "obsv/profiler.h"
 #include "obsv/span_analytics.h"
 #include "obsv/status_server.h"
@@ -295,6 +296,22 @@ int Stats(const std::map<std::string, std::string>& flags) {
   return Usage();
 }
 
+/// Writes `session`'s collapsed profile to `path`, then resets the
+/// session; `stats` gets the counters of what was written. False, after
+/// a message, when the file cannot be opened.
+bool WriteProfile(obsv::SampledSession& session, const std::string& path,
+                  obsv::SessionStats* stats) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << session.Collect();
+  *stats = session.Stats();
+  session.Reset();
+  return true;
+}
+
 int Run(const std::map<std::string, std::string>& flags) {
   // --trace-out implies tracing on (LTEE_TRACE=1 enables it without a
   // flag; the export then has to be requested explicitly).
@@ -405,12 +422,12 @@ int Run(const std::map<std::string, std::string>& flags) {
   // Sample from training through changeset apply — the CPU the pipeline
   // itself burns, excluding dataset synthesis and file exports.
   if (want_profile) {
-    obsv::ProfilerOptions profiler_options;
+    int hz = obsv::kDefaultProfilerHz;
     if (auto it = flags.find("profile-hz"); it != flags.end()) {
-      profiler_options.hz = std::atoi(it->second.c_str());
+      hz = std::atoi(it->second.c_str());
     }
     std::string error;
-    if (!obsv::StartProfiler(profiler_options, &error)) {
+    if (!obsv::CpuProfiler().Start(hz, &error)) {
       std::fprintf(stderr, "cannot start profiler: %s\n", error.c_str());
       return 1;
     }
@@ -418,13 +435,12 @@ int Run(const std::map<std::string, std::string>& flags) {
   // Same window for the heap profiler: allocation stacks from training
   // through changeset apply.
   if (want_heap) {
-    obsv::HeapProfilerOptions heap_options;
+    int64_t sample_bytes = obsv::kDefaultHeapSampleBytes;
     if (auto it = flags.find("heap-sample-kb"); it != flags.end()) {
-      heap_options.sample_bytes =
-          static_cast<size_t>(std::atoll(it->second.c_str())) * 1024;
+      sample_bytes = std::atoll(it->second.c_str()) * 1024;
     }
     std::string error;
-    if (!obsv::StartHeapProfiler(heap_options, &error)) {
+    if (!obsv::HeapProfiler().Start(sample_bytes, &error)) {
       std::fprintf(stderr, "cannot start heap profiler: %s\n",
                    error.c_str());
       return 1;
@@ -522,8 +538,8 @@ int Run(const std::map<std::string, std::string>& flags) {
   }
 
   const kb::ApplyOutcome outcome = kb::ApplyChangeSet(kb, changes);
-  if (want_profile) obsv::StopProfiler();
-  if (want_heap) obsv::StopHeapProfiler();
+  if (want_profile) obsv::CpuProfiler().Stop();
+  if (want_heap) obsv::HeapProfiler().Stop();
   for (size_t i = 0; i < run.classes.size(); ++i) {
     const auto& class_run = run.classes[i];
     const kb::ClassApplyOutcome& applied = outcome.classes[i];
@@ -623,38 +639,27 @@ int Run(const std::map<std::string, std::string>& flags) {
     std::printf("trace written to %s (open in ui.perfetto.dev)\n",
                 path.c_str());
   }
+  obsv::SessionStats stats;
   if (want_profile) {
     const std::string& path = flags.at("profile-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    out << obsv::CollectCollapsedProfile();
-    const obsv::ProfileStats stats = obsv::CurrentProfileStats();
+    if (!WriteProfile(obsv::CpuProfiler(), path, &stats)) return 1;
     std::printf(
-        "profile written to %s (%llu samples @ %d Hz, %llu dropped; "
+        "profile written to %s (%llu samples @ %lld Hz, %llu dropped; "
         "feed to flamegraph.pl or ltee_cli analyze-profile)\n",
         path.c_str(), static_cast<unsigned long long>(stats.samples),
-        stats.hz, static_cast<unsigned long long>(stats.dropped));
-    obsv::ResetProfiler();
+        static_cast<long long>(stats.rate),
+        static_cast<unsigned long long>(stats.dropped));
   }
   if (want_heap) {
     const std::string& path = flags.at("heap-profile-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    out << obsv::CollectCollapsedHeapProfile();
-    const obsv::HeapProfileStats stats = obsv::CurrentHeapProfileStats();
+    if (!WriteProfile(obsv::HeapProfiler(), path, &stats)) return 1;
     std::printf(
         "heap profile written to %s (%llu sampled allocations, ~1 per "
-        "%zu KB, %llu dropped; feed to flamegraph.pl or ltee_cli "
+        "%lld KB, %llu dropped; feed to flamegraph.pl or ltee_cli "
         "analyze-memory)\n",
         path.c_str(), static_cast<unsigned long long>(stats.samples),
-        stats.sample_kb, static_cast<unsigned long long>(stats.dropped));
-    obsv::ResetHeapProfiler();
+        static_cast<long long>((stats.rate + 1023) / 1024),
+        static_cast<unsigned long long>(stats.dropped));
   }
   obsv::DisarmCrashFlush();
   if (status_server.running()) {
@@ -1041,8 +1046,10 @@ int AnalyzeTrace(const std::map<std::string, std::string>& flags,
   return 0;
 }
 
-int AnalyzeProfile(const std::map<std::string, std::string>& flags,
-                   const std::string& path) {
+/// analyze-profile and analyze-memory: one collapsed file, a CPU or
+/// (`memory`) heap report, as text or --json, top --top N frames.
+int AnalyzeCollapsed(const std::map<std::string, std::string>& flags,
+                     const std::string& path, bool memory) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
@@ -1057,39 +1064,7 @@ int AnalyzeProfile(const std::map<std::string, std::string>& flags,
     std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return 1;
   }
-  size_t top_n = 20;
-  if (auto it = flags.find("top"); it != flags.end()) {
-    top_n = static_cast<size_t>(std::atoll(it->second.c_str()));
-  }
-  if (flags.count("json")) {
-    std::printf("%s\n", obsv::ProfileAnalysisToJson(analysis, top_n).c_str());
-  } else {
-    std::fputs(obsv::ProfileAnalysisToText(analysis, top_n).c_str(), stdout);
-  }
-  return 0;
-}
-
-int AnalyzeMemory(const std::map<std::string, std::string>& flags,
-                  const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  // The stack lines share the collapsed format with CPU profiles; the
-  // heap-specific header + span table parse separately.
-  obsv::ProfileAnalysis analysis;
-  std::string error;
-  if (!obsv::ParseCollapsedProfile(content, &analysis, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-  obsv::HeapProfileHeader header;
-  if (!obsv::ParseHeapProfileHeader(content, &header)) {
+  if (memory && !analysis.heap) {
     std::fprintf(stderr,
                  "%s: not a heap profile (no `heap=1` header — use "
                  "analyze-profile for CPU profiles)\n",
@@ -1100,13 +1075,14 @@ int AnalyzeMemory(const std::map<std::string, std::string>& flags,
   if (auto it = flags.find("top"); it != flags.end()) {
     top_n = static_cast<size_t>(std::atoll(it->second.c_str()));
   }
-  if (flags.count("json")) {
-    std::printf("%s\n",
-                obsv::HeapAnalysisToJson(analysis, header, top_n).c_str());
-  } else {
-    std::fputs(obsv::HeapAnalysisToText(analysis, header, top_n).c_str(),
-               stdout);
-  }
+  const bool json = flags.count("json") > 0;
+  const std::string report =
+      memory ? (json ? obsv::HeapAnalysisToJson(analysis, top_n)
+                     : obsv::HeapAnalysisToText(analysis, top_n))
+             : (json ? obsv::ProfileAnalysisToJson(analysis, top_n)
+                     : obsv::ProfileAnalysisToText(analysis, top_n));
+  std::fputs(report.c_str(), stdout);
+  if (json) std::fputc('\n', stdout);
   return 0;
 }
 
@@ -1142,15 +1118,10 @@ int main(int argc, char** argv) {
     }
     return Usage();
   }
-  if (command == "analyze-profile") {
+  if (command == "analyze-profile" || command == "analyze-memory") {
     const std::string path = FirstPositional(argc, argv, 2);
     if (path.empty()) return Usage();
-    return AnalyzeProfile(flags, path);
-  }
-  if (command == "analyze-memory") {
-    const std::string path = FirstPositional(argc, argv, 2);
-    if (path.empty()) return Usage();
-    return AnalyzeMemory(flags, path);
+    return AnalyzeCollapsed(flags, path, command == "analyze-memory");
   }
   return Usage();
 }

@@ -39,8 +39,7 @@
 #include <thread>
 
 #include "obsv/http_client.h"
-#include "obsv/memtrack.h"
-#include "obsv/profiler.h"
+#include "obsv/profile_analysis.h"
 #include "util/json_parse.h"
 
 namespace {
@@ -215,9 +214,8 @@ bool RenderMemoryPanel(const Options& options) {
     return false;
   }
   ltee::obsv::ProfileAnalysis analysis;
-  ltee::obsv::HeapProfileHeader header;
   if (!ltee::obsv::ParseCollapsedProfile(body, &analysis, &error) ||
-      !ltee::obsv::ParseHeapProfileHeader(body, &header)) {
+      !analysis.heap) {
     std::printf("memory: malformed heap profile: %s\n", error.c_str());
     return false;
   }
@@ -225,13 +223,13 @@ bool RenderMemoryPanel(const Options& options) {
   std::printf(
       "memory  live %.1f MB in %llu allocations  peak-rss %.1f MB  "
       "(%llu sampled, ~1 per %zu KB)\n",
-      static_cast<double>(header.live_bytes) / mb,
-      static_cast<unsigned long long>(header.live_allocs),
-      static_cast<double>(header.peak_rss_kb) / 1024.0,
-      static_cast<unsigned long long>(analysis.samples), header.sample_kb);
+      static_cast<double>(analysis.live_bytes) / mb,
+      static_cast<unsigned long long>(analysis.live_allocs),
+      static_cast<double>(analysis.peak_rss_kb) / 1024.0,
+      static_cast<unsigned long long>(analysis.samples), analysis.sample_kb);
   std::string spans = "spans  ";
   size_t span_count = 0;
-  for (const auto& span : header.spans) {
+  for (const auto& span : analysis.span_bytes) {
     if (span_count++ >= 4) break;
     char item[112];
     std::snprintf(item, sizeof(item), " %s %.1f/%.1f MB", span.span.c_str(),
