@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -122,16 +123,20 @@ void BM_ClassifyCell(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyCell);
 
+/// Place-like label "<prefix><suffix> <i % 97>" drawn from `rng`: many
+/// labels share the number token, few share the name.
+std::string PlaceLabel(util::Rng& rng, uint32_t i) {
+  const char* first[] = {"spring", "oak", "maple", "cedar", "river", "lake"};
+  const char* second[] = {"field", "ton", "ville", "burg", "port", "dale"};
+  return std::string(first[rng.NextBounded(6)]) + second[rng.NextBounded(6)] +
+         " " + std::to_string(i % 97);
+}
+
 void BM_LabelIndexSearch(benchmark::State& state) {
   index::LabelIndex index;
   util::Rng rng(1);
-  const char* first[] = {"spring", "oak", "maple", "cedar", "river", "lake"};
-  const char* second[] = {"field", "ton", "ville", "burg", "port", "dale"};
   for (uint32_t i = 0; i < static_cast<uint32_t>(state.range(0)); ++i) {
-    std::string label = std::string(first[rng.NextBounded(6)]) +
-                        second[rng.NextBounded(6)] + " " +
-                        std::to_string(i % 97);
-    index.Add(i, label);
+    index.Add(i, PlaceLabel(rng, i));
   }
   index.Build();
   for (auto _ : state) {
@@ -139,6 +144,30 @@ void BM_LabelIndexSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LabelIndexSearch)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_BestLabelSimilarity(benchmark::State& state) {
+  // 10k KB labels (9,000 instances, every ninth with an alias), one query
+  // label, scored against the candidates a Search returns: the per-row
+  // step of table-to-class matching and implicit-attribute derivation.
+  auto dict = std::make_shared<util::TokenDictionary>();
+  index::LabelIndex index(dict);
+  util::Rng rng(1);
+  for (uint32_t doc = 0; doc < 9000; ++doc) {
+    index.Add(doc, PlaceLabel(rng, doc));
+    if (doc % 9 == 0) index.Add(doc, PlaceLabel(rng, doc + 1));
+  }
+  index.Build();
+  const auto query = dict->InternTokens("springfeld 42");
+  const auto hits = index.Search(query, 10);
+  for (auto _ : state) {
+    double best = 0.0;
+    for (const auto& hit : hits) {
+      best = std::max(best, index.BestLabelSimilarity(query, hit.doc));
+    }
+    benchmark::DoNotOptimize(best);
+  }
+}
+BENCHMARK(BM_BestLabelSimilarity);
 
 void BM_CorrelationClustering(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

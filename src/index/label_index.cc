@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/similarity.h"
 #include "util/string_util.h"
 
 namespace ltee::index {
@@ -21,22 +22,8 @@ uint32_t LabelIndex::LocalId(uint32_t global) {
 }
 
 void LabelIndex::Add(uint32_t doc, std::string_view label) {
-  assert(!built_);
-  std::string normalized = util::NormalizeLabel(label);
-  if (normalized.empty()) return;
-  block_by_label_.emplace(normalized,
-                          static_cast<int32_t>(block_by_label_.size()));
-  Entry entry;
-  entry.doc = doc;
-  for (const auto& tok : util::Tokenize(normalized)) {
-    const uint32_t global = dict_->Intern(tok);
-    entry.ordered.push_back(global);
-    entry.tokens.push_back(LocalId(global));
-  }
-  std::sort(entry.tokens.begin(), entry.tokens.end());
-  entry.tokens.erase(std::unique(entry.tokens.begin(), entry.tokens.end()),
-                     entry.tokens.end());
-  entries_.push_back(std::move(entry));
+  const std::string normalized = util::NormalizeLabel(label);
+  AddTokens(doc, normalized, dict_->InternTokens(normalized));
 }
 
 void LabelIndex::AddTokens(uint32_t doc, std::string_view normalized,
@@ -80,50 +67,40 @@ void LabelIndex::Build() {
 
 std::vector<LabelHit> LabelIndex::Search(std::string_view label,
                                          size_t k) const {
-  auto raw = util::Tokenize(label);
-  std::vector<QueryToken> tokens;
-  tokens.reserve(raw.size());
-  for (const auto& tok : raw) {
-    const uint32_t global = dict_->Find(tok);
-    if (global == util::TokenDictionary::kNoToken) continue;
-    tokens.push_back({tok, global});
-  }
-  // `tokens` views into `raw`, which stays alive for the whole call.
-  return SearchResolved(std::move(tokens), k);
+  return Search(dict_->FindTokens(label), k);
 }
 
 std::vector<LabelHit> LabelIndex::Search(std::span<const uint32_t> tokens,
                                          size_t k) const {
-  std::vector<QueryToken> resolved;
-  resolved.reserve(tokens.size());
-  for (uint32_t global : tokens) {
-    if (global == util::TokenDictionary::kNoToken) continue;
-    resolved.push_back({dict_->token(global), global});
-  }
-  return SearchResolved(std::move(resolved), k);
-}
-
-std::vector<LabelHit> LabelIndex::SearchResolved(
-    std::vector<QueryToken> tokens, size_t k) const {
   assert(built_);
   std::vector<LabelHit> out;
   if (k == 0) return out;
   // Canonical lexicographic query order: scores must not depend on the
-  // dictionary's interning order (ids are sorted by their token string, the
-  // order the string overload has always used).
-  std::sort(tokens.begin(), tokens.end(),
+  // dictionary's interning order, so known tokens are resolved and sorted
+  // by their text, then deduplicated.
+  struct QueryToken {
+    std::string_view text;
+    uint32_t global;
+  };
+  std::vector<QueryToken> query;
+  query.reserve(tokens.size());
+  for (uint32_t global : tokens) {
+    if (global == util::TokenDictionary::kNoToken) continue;
+    query.push_back({dict_->token(global), global});
+  }
+  std::sort(query.begin(), query.end(),
             [](const QueryToken& a, const QueryToken& b) {
               return a.text < b.text;
             });
-  tokens.erase(std::unique(tokens.begin(), tokens.end(),
-                           [](const QueryToken& a, const QueryToken& b) {
-                             return a.text == b.text;
-                           }),
-               tokens.end());
+  query.erase(std::unique(query.begin(), query.end(),
+                          [](const QueryToken& a, const QueryToken& b) {
+                            return a.text == b.text;
+                          }),
+              query.end());
 
   std::unordered_map<uint32_t, double> entry_score;  // entry index -> score
   double query_norm = 0.0;
-  for (const auto& tok : tokens) {
+  for (const auto& tok : query) {
     auto it = local_of_global_.find(tok.global);
     if (it == local_of_global_.end()) continue;
     const double w = idf_[it->second];
@@ -160,17 +137,17 @@ int32_t LabelIndex::BlockOf(std::string_view label) const {
   return it == block_by_label_.end() ? -1 : it->second;
 }
 
-std::vector<std::span<const uint32_t>> LabelIndex::LabelTokensOf(
-    uint32_t doc) const {
+double LabelIndex::BestLabelSimilarity(std::span<const uint32_t> tokens,
+                                       uint32_t doc) const {
   assert(built_);
-  std::vector<std::span<const uint32_t>> out;
+  double best = 0.0;
   auto it = entries_of_doc_.find(doc);
-  if (it == entries_of_doc_.end()) return out;
-  out.reserve(it->second.size());
+  if (it == entries_of_doc_.end()) return best;
   for (uint32_t e : it->second) {
-    out.push_back(entries_[e].ordered);
+    best = std::max(best, util::MongeElkanLevenshtein(
+                              tokens, entries_[e].ordered, *dict_));
   }
-  return out;
+  return best;
 }
 
 int32_t LabelIndex::BlockOfNormalized(std::string_view normalized) const {

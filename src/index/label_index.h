@@ -61,13 +61,13 @@ class LabelIndex {
 
   /// Returns up to `k` distinct documents whose labels share tokens with
   /// the query, ranked by TF-IDF-weighted overlap normalized by entry
-  /// length. Requires Build().
+  /// length. Requires Build(). Same as the span overload on
+  /// dict().FindTokens(label).
   std::vector<LabelHit> Search(std::string_view label, size_t k) const;
 
   /// Pre-tokenized query: `tokens` are ordered dictionary ids of the query
-  /// label's tokens (duplicates allowed). Returns exactly what the string
-  /// overload returns for the corresponding label, without re-tokenizing or
-  /// hashing the query text.
+  /// label's tokens (duplicates allowed, kNoToken entries skipped), e.g.
+  /// straight from a prepared corpus.
   std::vector<LabelHit> Search(std::span<const uint32_t> tokens,
                                size_t k) const;
 
@@ -79,10 +79,11 @@ class LabelIndex {
   /// BlockOf for a label that is already normalized.
   int32_t BlockOfNormalized(std::string_view normalized) const;
 
-  /// Ordered dictionary token ids of every label `doc` was added under, in
-  /// Add order. Lets callers run token-level string similarity against the
-  /// indexed labels without re-tokenizing them. Requires Build().
-  std::vector<std::span<const uint32_t>> LabelTokensOf(uint32_t doc) const;
+  /// Best util::MongeElkanLevenshtein of the ordered token ids `tokens`
+  /// against every label `doc` was added under; 0 when `doc` has none.
+  /// Requires Build().
+  double BestLabelSimilarity(std::span<const uint32_t> tokens,
+                             uint32_t doc) const;
 
   const util::TokenDictionary& dict() const { return *dict_; }
   const std::shared_ptr<util::TokenDictionary>& dict_ptr() const {
@@ -102,16 +103,6 @@ class LabelIndex {
 
   /// Local id of a dictionary id, assigned on first appearance.
   uint32_t LocalId(uint32_t global);
-
-  /// Query token resolved to its string (for canonical ordering) and
-  /// dictionary id.
-  struct QueryToken {
-    std::string_view text;
-    uint32_t global;
-  };
-
-  std::vector<LabelHit> SearchResolved(std::vector<QueryToken> tokens,
-                                       size_t k) const;
 
   std::shared_ptr<util::TokenDictionary> dict_;
   std::vector<Entry> entries_;

@@ -125,14 +125,26 @@ double KbOverlapScore(const MatcherInputs& in,
 double KbLabelScore(const MatcherInputs& in,
                     const webtable::PreparedTable& table, int column,
                     kb::PropertyId property) {
-  // Property labels are compared as raw strings (they live outside the
-  // table dictionary), so read the raw header of the table.
-  const std::string& header =
-      in.prepared->corpus().table(table.id).headers[column];
-  if (util::Trim(header).empty()) return -1.0;
+  // Only a blank header is not applicable: a punctuation-only one has no
+  // tokens but still scores (0 against every non-empty label).
+  if (util::Trim(in.prepared->corpus().table(table.id).headers[column])
+          .empty()) {
+    return -1.0;
+  }
+  const util::TokenDictionary& dict = in.prepared->dict();
+  std::vector<std::string_view> header;
+  for (uint32_t id : table.header_tokens[column]) {
+    header.push_back(dict.token(id));
+  }
   double best = 0.0;
   for (const auto& label : in.kb->property(property).labels) {
-    best = std::max(best, util::MongeElkanLevenshtein(header, label));
+    // Property labels live outside the dictionary: tokenize their text.
+    const std::vector<std::string> tokens = util::Tokenize(label);
+    const std::vector<std::string_view> label_tokens(tokens.begin(),
+                                                     tokens.end());
+    best = std::max(best, util::MongeElkan<std::string_view>(
+                              header, label_tokens,
+                              util::LevenshteinSimilarity));
   }
   return best;
 }

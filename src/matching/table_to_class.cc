@@ -5,7 +5,6 @@
 
 #include "types/type_similarity.h"
 #include "types/value_parser.h"
-#include "util/similarity.h"
 
 namespace ltee::matching {
 
@@ -25,7 +24,6 @@ TableToClassResult MatchTableToClass(
   TableToClassResult result;
   result.row_instance.assign(table.num_rows, kb::kInvalidInstance);
   if (label_column < 0 || table.num_rows == 0) return result;
-  const util::TokenDictionary& dict = kb_index.dict();
 
   // --- 1. Row label lookup: candidate instances per row. ----------------
   std::vector<std::vector<RowCandidate>> row_candidates(table.num_rows);
@@ -36,11 +34,8 @@ TableToClassResult MatchTableToClass(
     for (const auto& hit :
          kb_index.Search(label.tokens, options.candidates_per_row)) {
       const kb::Instance& inst = kb.instance(static_cast<int>(hit.doc));
-      double best_sim = 0.0;
-      for (const auto& inst_tokens : kb_index.LabelTokensOf(hit.doc)) {
-        best_sim = std::max(best_sim, util::MongeElkanLevenshtein(
-                                          label.tokens, inst_tokens, dict));
-      }
+      const double best_sim =
+          kb_index.BestLabelSimilarity(label.tokens, hit.doc);
       if (best_sim >= options.label_similarity_threshold) {
         row_candidates[r].push_back({inst.id, best_sim});
       }

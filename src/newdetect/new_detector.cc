@@ -144,7 +144,6 @@ ml::ScoredFeatures NewDetector::CompareImpl(
     const std::vector<std::vector<uint32_t>>& label_tokens,
     kb::InstanceId instance_id, double popularity_rank_score) const {
   const kb::Instance& instance = kb_->instance(instance_id);
-  const util::TokenDictionary& dict = kb_index_->dict();
   ml::ScoredFeatures out;
   auto push = [&out](double sim, double conf) {
     out.sims.push_back(sim);
@@ -156,12 +155,9 @@ ml::ScoredFeatures NewDetector::CompareImpl(
     // labels normalizing to nothing score zero against the non-empty
     // entity labels, exactly as they would if compared directly.
     double best = 0.0;
-    const auto instance_labels =
-        kb_index_->LabelTokensOf(static_cast<uint32_t>(instance_id));
-    for (const auto& a : label_tokens) {
-      for (const auto& b : instance_labels) {
-        best = std::max(best, util::MongeElkanLevenshtein(a, b, dict));
-      }
+    for (const auto& tokens : label_tokens) {
+      best = std::max(best, kb_index_->BestLabelSimilarity(
+                                tokens, static_cast<uint32_t>(instance_id)));
     }
     push(best, 0.0);
   }

@@ -251,12 +251,16 @@ inline constexpr uint32_t kSlotMask = (uint32_t{1} << kSlotBits) - 1;
 static_assert(kSampleRingCapacity <= kSlotMask, "slot ids must fit the ref");
 static_assert(kSampleShards == 8, "sample refs hold a 3-bit shard");
 
+/// POD like the CPU profiler's RawSample, so allocating the rings touches
+/// none of their pages; every field is written when a slot is claimed.
+/// `live` is shared with the free path and only accessed through
+/// std::atomic_ref (mutable: ForEachReady hands out const samples).
 struct HeapSample {
   void* frames[util::kMaxStackDepth];
-  std::atomic<int64_t> live{0};
-  uint64_t size = 0;
-  int depth = 0;
-  char span[util::trace::kTrackedSpanNameLen] = {};
+  mutable int64_t live;
+  uint64_t size;
+  int depth;
+  char span[util::trace::kTrackedSpanNameLen];
 };
 
 constinit SampleRings<HeapSample> g_heap_rings;
@@ -388,7 +392,8 @@ LTEE_MEMTRACK_NOINLINE void MaybeSample(AllocHeader* header, size_t size,
   // name (inlining of the thin operator bodies is compiler-dependent).
   sample.depth = util::CaptureStack(sample.frames, util::kMaxStackDepth, 3);
   sample.size = size;
-  sample.live.store(static_cast<int64_t>(size), std::memory_order_relaxed);
+  std::atomic_ref<int64_t>(sample.live)
+      .store(static_cast<int64_t>(size), std::memory_order_relaxed);
   if (span != nullptr && span[0] != '\0') {
     std::strncpy(sample.span, span, sizeof(sample.span) - 1);
     sample.span[sizeof(sample.span) - 1] = '\0';
@@ -507,8 +512,8 @@ LTEE_MEMTRACK_NOINLINE void TrackedFree(void* ptr) {
             GenByte(g_heap_gen.load(std::memory_order_relaxed))) {
       if (HeapSample* sample = g_heap_rings.Published(
               (ref >> kSlotBits) & (kSampleShards - 1), ref & kSlotMask)) {
-        sample->live.fetch_sub(static_cast<int64_t>(size),
-                               std::memory_order_relaxed);
+        std::atomic_ref<int64_t>(sample->live)
+            .fetch_sub(static_cast<int64_t>(size), std::memory_order_relaxed);
       }
     }
   }
@@ -588,7 +593,8 @@ std::string CollectHeapProfile(const SessionStats& stats) {
   uint64_t samples = 0;
   g_heap_rings.ForEachReady([&](const HeapSample& sample) {
     ++samples;
-    const int64_t live = sample.live.load(std::memory_order_relaxed);
+    const int64_t live =
+        std::atomic_ref<int64_t>(sample.live).load(std::memory_order_relaxed);
     if (live <= 0) return;  // fully freed since it was sampled
     writer.Add(sample.span, sample.frames, sample.depth,
                static_cast<uint64_t>(live));

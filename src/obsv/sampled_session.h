@@ -8,6 +8,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 namespace ltee::obsv {
@@ -70,6 +71,10 @@ class SampleRingIndex {
 /// are allocated on the first Prepare and deliberately leaked.
 template <typename Sample>
 class SampleRings : public SampleRingIndex {
+  // `new Sample[kSampleRingCapacity]` must leave the rings' pages
+  // untouched until a writer claims a slot.
+  static_assert(std::is_trivially_default_constructible_v<Sample>);
+
  public:
   /// Allocates the arrays on first use and clears the rings. Normal
   /// context, before the writers are armed.

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "matching/attribute_matchers.h"
-#include "util/similarity.h"
 
 namespace ltee::rowcluster {
 
@@ -28,7 +27,6 @@ std::vector<ImplicitAttribute> DeriveImplicitAttributes(
     const RowFeatureOptions& options) {
   std::vector<ImplicitAttribute> out;
   if (label_column < 0 || table.num_rows == 0) return out;
-  const util::TokenDictionary& dict = kb_index.dict();
 
   struct ComboStat {
     types::Value value;
@@ -49,11 +47,8 @@ std::vector<ImplicitAttribute> DeriveImplicitAttributes(
     for (const auto& hit :
          kb_index.Search(label.tokens, options.implicit_candidates_per_row)) {
       const kb::Instance& inst = kb.instance(static_cast<int>(hit.doc));
-      double best_sim = 0.0;
-      for (const auto& inst_tokens : kb_index.LabelTokensOf(hit.doc)) {
-        best_sim = std::max(best_sim, util::MongeElkanLevenshtein(
-                                          label.tokens, inst_tokens, dict));
-      }
+      const double best_sim =
+          kb_index.BestLabelSimilarity(label.tokens, hit.doc);
       if (best_sim < options.implicit_label_similarity) continue;
       for (const auto& fact : inst.facts) {
         std::string key = std::to_string(fact.property) + "|" +

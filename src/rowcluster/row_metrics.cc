@@ -29,14 +29,6 @@ std::vector<bool> FirstKMetrics(int k) {
   return mask;
 }
 
-namespace {
-
-/// Vocabularies larger than this skip the LABEL precompute: the quadratic
-/// similarity matrix would cost more than it saves.
-constexpr size_t kMaxLabelVocab = 2048;
-
-}  // namespace
-
 RowMetricBank::RowMetricBank(const ClassRowSet& rows,
                              std::vector<bool> enabled)
     : rows_(&rows), enabled_(std::move(enabled)) {
@@ -109,29 +101,10 @@ double RowMetricBank::LabelSimilarity(int i, int j) const {
                                        rows_->rows[j].label_tokens,
                                        *rows_->dict);
   }
-  const std::vector<uint32_t>& ta = label_local_[i];
-  const std::vector<uint32_t>& tb = label_local_[j];
-  // Mirrors MongeElkanDirectedIds in util/similarity.cc: same loop order,
-  // same early-out on equal tokens, same accumulation — the doubles match
-  // the dict-resolving implementation bit for bit.
-  auto directed = [this](const std::vector<uint32_t>& x,
-                         const std::vector<uint32_t>& y) -> double {
-    if (x.empty()) return y.empty() ? 1.0 : 0.0;
-    double sum = 0.0;
-    for (size_t i = 0; i < x.size(); ++i) {
-      double best = 0.0;
-      for (size_t j = 0; j < y.size(); ++j) {
-        if (x[i] == y[j]) {
-          best = 1.0;
-          break;
-        }
-        best = std::max(best, token_sim_[x[i] * vocab_ + y[j]]);
-      }
-      sum += best;
-    }
-    return sum / static_cast<double>(x.size());
-  };
-  return std::max(directed(ta, tb), directed(tb, ta));
+  return util::MongeElkan<uint32_t>(
+      label_local_[i], label_local_[j], [this](uint32_t x, uint32_t y) {
+        return token_sim_[x * vocab_ + y];
+      });
 }
 
 std::vector<std::string> RowMetricBank::EnabledNames() const {

@@ -22,6 +22,11 @@ enum class RowMetric {
 inline constexpr int kNumRowMetrics = 6;
 const char* RowMetricName(RowMetric metric);
 
+/// Row sets whose labels hold more distinct tokens than this skip the
+/// LABEL precompute: the quadratic similarity matrix would cost more than
+/// it saves.
+inline constexpr size_t kMaxLabelVocab = 2048;
+
 /// Computes the enabled row-metric scores for a pair of rows of one
 /// ClassRowSet. Metrics returning -1 are "not applicable" for the pair
 /// (e.g. ATTRIBUTE without overlapping value pairs); confidences are 0 for
@@ -42,8 +47,10 @@ class RowMetricBank {
   std::vector<std::string> EnabledNames() const;
 
  private:
-  /// LABEL via the precomputed token-similarity matrix; bit-identical to
-  /// util::MongeElkanLevenshtein over the same tokens.
+  /// LABEL: the util::MongeElkan kernel over the precomputed
+  /// token-similarity matrix, or util::MongeElkanLevenshtein when the
+  /// matrix is off. Both feed the kernel the same Levenshtein similarities
+  /// in the same order, so the two paths agree bit for bit.
   double LabelSimilarity(int i, int j) const;
 
   const ClassRowSet* rows_;

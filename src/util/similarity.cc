@@ -48,69 +48,25 @@ int LevenshteinDistance(std::string_view a, std::string_view b) {
 }
 
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {
+  if (a == b) return 1.0;
   const size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return 1.0;
   return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) /
                    static_cast<double>(longest);
 }
 
-namespace {
-
-double MongeElkanDirected(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b) {
-  if (a.empty()) return b.empty() ? 1.0 : 0.0;
-  double sum = 0.0;
-  for (const auto& ta : a) {
-    double best = 0.0;
-    for (const auto& tb : b) best = std::max(best, LevenshteinSimilarity(ta, tb));
-    sum += best;
-  }
-  return sum / static_cast<double>(a.size());
-}
-
-}  // namespace
-
-double MongeElkanLevenshtein(const std::vector<std::string>& a,
-                             const std::vector<std::string>& b) {
-  return std::max(MongeElkanDirected(a, b), MongeElkanDirected(b, a));
-}
-
 double MongeElkanLevenshtein(std::string_view a, std::string_view b) {
-  return MongeElkanLevenshtein(Tokenize(a), Tokenize(b));
+  const std::vector<std::string> ta = Tokenize(a), tb = Tokenize(b);
+  return MongeElkan<std::string>(ta, tb, LevenshteinSimilarity);
 }
-
-namespace {
-
-double MongeElkanDirectedIds(std::span<const uint32_t> a,
-                             std::span<const uint32_t> b,
-                             std::span<const std::string_view> a_str,
-                             std::span<const std::string_view> b_str) {
-  if (a.empty()) return b.empty() ? 1.0 : 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double best = 0.0;
-    for (size_t j = 0; j < b.size(); ++j) {
-      if (a[i] == b[j]) {
-        best = 1.0;
-        break;  // LevenshteinSimilarity(x, x) == 1.0, the maximum
-      }
-      best = std::max(best, LevenshteinSimilarity(a_str[i], b_str[j]));
-    }
-    sum += best;
-  }
-  return sum / static_cast<double>(a.size());
-}
-
-}  // namespace
 
 double MongeElkanLevenshtein(std::span<const uint32_t> a,
                              std::span<const uint32_t> b,
                              const TokenDictionary& dict) {
-  std::vector<std::string_view> a_str(a.size()), b_str(b.size());
-  for (size_t i = 0; i < a.size(); ++i) a_str[i] = dict.token(a[i]);
-  for (size_t j = 0; j < b.size(); ++j) b_str[j] = dict.token(b[j]);
-  return std::max(MongeElkanDirectedIds(a, b, a_str, b_str),
-                  MongeElkanDirectedIds(b, a, b_str, a_str));
+  std::vector<std::string_view> ta(a.size()), tb(b.size());
+  for (size_t i = 0; i < a.size(); ++i) ta[i] = dict.token(a[i]);
+  for (size_t j = 0; j < b.size(); ++j) tb[j] = dict.token(b[j]);
+  return MongeElkan<std::string_view>(ta, tb, LevenshteinSimilarity);
 }
 
 double CosineBinary(std::span<const uint32_t> a_sorted,

@@ -1,6 +1,7 @@
 #ifndef LTEE_UTIL_SIMILARITY_H_
 #define LTEE_UTIL_SIMILARITY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -19,20 +20,37 @@ int LevenshteinDistance(std::string_view a, std::string_view b);
 /// 1 - distance / max(|a|, |b|). Two empty strings are fully similar.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
-/// Monge-Elkan similarity with Levenshtein as the inner similarity
-/// function, as used by the paper's LABEL metrics: the mean over tokens of
-/// `a` of the best inner similarity against tokens of `b`. The returned
-/// value is symmetrized: max(ME(a,b), ME(b,a)).
-double MongeElkanLevenshtein(const std::vector<std::string>& a,
-                             const std::vector<std::string>& b);
+/// The Monge-Elkan kernel behind every label similarity of the paper (row
+/// and entity LABEL, KB-Label): for each direction, the mean over tokens of
+/// one side of the best `sim` against the tokens of the other side; returns
+/// max(ME(a,b), ME(b,a)). An empty side scores 1.0 against an empty side
+/// and 0.0 otherwise. `sim` must not exceed 1.0: a token's inner loop stops
+/// once its best reaches 1.0, which no later token can beat.
+template <typename T, typename Sim>
+double MongeElkan(std::span<const T> a, std::span<const T> b, Sim&& sim) {
+  auto directed = [&sim](std::span<const T> x, std::span<const T> y) {
+    if (x.empty()) return y.empty() ? 1.0 : 0.0;
+    double sum = 0.0;
+    for (const T& tx : x) {
+      double best = 0.0;
+      for (const T& ty : y) {
+        best = std::max(best, sim(tx, ty));
+        if (best == 1.0) break;
+      }
+      sum += best;
+    }
+    return sum / static_cast<double>(x.size());
+  };
+  return std::max(directed(a, b), directed(b, a));
+}
 
-/// Convenience overload operating on raw strings (tokenizes internally).
+/// MongeElkan with LevenshteinSimilarity as the inner similarity over the
+/// util::Tokenize tokens of two raw strings.
 double MongeElkanLevenshtein(std::string_view a, std::string_view b);
 
-/// Monge-Elkan over interned token lists (ordered, duplicates kept, like
-/// Tokenize output). Ids are resolved through `dict` for the inner
-/// Levenshtein similarity; equal ids short-circuit to 1.0. Numerically
-/// identical to the string overload on the same token lists.
+/// MongeElkan with LevenshteinSimilarity over interned token lists
+/// (ordered, duplicates kept, like Tokenize output), resolved through
+/// `dict`. Equal to the string overload on the same tokens.
 double MongeElkanLevenshtein(std::span<const uint32_t> a,
                              std::span<const uint32_t> b,
                              const TokenDictionary& dict);

@@ -35,20 +35,27 @@ void WarmUpStackCapture() {
 
 int CaptureStack(void** frames, int max_depth, int skip) {
   if (max_depth <= 0) return 0;
-  // CaptureStack is its own innermost frame (separate TU, never
-  // inlined): always drop it, plus the caller's `skip`.
-  ++skip;
   // Capture into a scratch buffer large enough to still fill max_depth
-  // after dropping the handler/trampoline frames.
+  // after dropping CaptureStack's own frame, any frames an interposed
+  // backtrace adds (sanitizer builds), and the caller's `skip`.
   void* scratch[kMaxStackDepth + 8];
-  int want = max_depth + skip;
-  if (want > static_cast<int>(sizeof(scratch) / sizeof(scratch[0]))) {
-    want = static_cast<int>(sizeof(scratch) / sizeof(scratch[0]));
+  constexpr int kScratch = static_cast<int>(sizeof(scratch) / sizeof(void*));
+  const int depth = ::backtrace(scratch, kScratch);
+  // The caller's frame is the one holding our return address; when no
+  // frame matches, assume CaptureStack's frame is the only one to drop
+  // (separate TU, never inlined).
+  const void* caller = __builtin_return_address(0);
+  int first = 1;
+  for (int i = 0; i < depth; ++i) {
+    if (scratch[i] == caller) {
+      first = i;
+      break;
+    }
   }
-  const int depth = ::backtrace(scratch, want);
-  if (depth <= skip) return 0;
-  const int kept = depth - skip < max_depth ? depth - skip : max_depth;
-  std::memcpy(frames, scratch + skip, sizeof(void*) * kept);
+  first += skip;
+  if (depth <= first) return 0;
+  const int kept = depth - first < max_depth ? depth - first : max_depth;
+  std::memcpy(frames, scratch + first, sizeof(void*) * kept);
   return kept;
 }
 

@@ -68,12 +68,8 @@ void PrepareTable(const WebTable& table, util::TokenDictionary* dict,
   out->normalized_headers.reserve(table.num_columns());
   out->header_tokens.reserve(table.num_columns());
   for (const auto& header : table.headers) {
-    auto token_strings = util::Tokenize(header);
-    out->normalized_headers.push_back(util::Join(token_strings, " "));
-    std::vector<uint32_t> ids;
-    ids.reserve(token_strings.size());
-    for (const auto& tok : token_strings) ids.push_back(dict->Intern(tok));
-    out->header_tokens.push_back(std::move(ids));
+    out->normalized_headers.push_back(util::NormalizeLabel(header));
+    out->header_tokens.push_back(dict->InternTokens(header));
   }
 
   out->cells.resize(table.num_rows() * table.num_columns());

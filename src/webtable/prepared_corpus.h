@@ -49,7 +49,7 @@ struct PreparedTable {
   size_t num_columns = 0;
   size_t num_rows = 0;
   std::vector<std::string> normalized_headers;
-  /// Ordered dictionary token ids per header.
+  /// Ordered dictionary token ids per header (the KB-Label matcher).
   std::vector<std::vector<uint32_t>> header_tokens;
   /// types::DetectColumnType over each column's cells.
   std::vector<types::DetectedType> column_types;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <span>
 
 #include "index/label_index.h"
 #include "kb/knowledge_base.h"
+#include "util/similarity.h"
 #include "webtable/web_table.h"
 
 namespace ltee {
@@ -205,6 +208,38 @@ TEST(LabelIndexTest, StringAndTokenSearchOverloadsAgree) {
       EXPECT_DOUBLE_EQ(via_tokens[i].score, via_string[i].score)
           << "query: " << query << " hit " << i;
     }
+  }
+}
+
+// BestLabelSimilarity must equal the explicit max of Monge-Elkan over the
+// labels of the instance, looked up one by one.
+TEST_F(KnowledgeBaseTest, BestLabelSimilarityEqualsLoopOverInstanceLabels) {
+  auto dict = std::make_shared<util::TokenDictionary>();
+  index::LabelIndex index(dict);
+  const int n = static_cast<int>(kb_.num_instances());
+  for (int i = 0; i < n; ++i) {
+    for (const auto& label : kb_.instance(i).labels) {
+      index.Add(static_cast<uint32_t>(i), label);
+    }
+  }
+  index.Build();
+
+  const std::string queries[] = {"Jane Doe", "J Doe",  "Jon Smith",
+                                 "doe jane", "Unseen", ""};
+  for (const std::string& query : queries) {
+    const std::vector<uint32_t> tokens = dict->InternTokens(query);
+    for (int i = 0; i < n; ++i) {
+      double expected = 0.0;
+      for (const auto& label : kb_.instance(i).labels) {
+        expected = std::max(expected, util::MongeElkanLevenshtein(
+                                          tokens, dict->FindTokens(label),
+                                          *dict));
+      }
+      EXPECT_EQ(index.BestLabelSimilarity(tokens, static_cast<uint32_t>(i)),
+                expected)
+          << "query: " << query << " instance " << i;
+    }
+    EXPECT_EQ(index.BestLabelSimilarity(tokens, 999), 0.0);  // no labels
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 
@@ -11,6 +12,8 @@
 #include "rowcluster/row_metrics.h"
 #include "test_dataset.h"
 #include "util/metrics.h"
+#include "util/random.h"
+#include "util/similarity.h"
 
 namespace ltee::rowcluster {
 namespace {
@@ -139,6 +142,80 @@ TEST(RowMetricsTest, LabelMetricReflectsLabelEquality) {
   }
   ASSERT_GE(a, 0) << "no duplicate labels in gold rows";
   EXPECT_DOUBLE_EQ(bank.Compare(a, b).sims[0], 1.0);
+}
+
+/// Number of distinct label token ids over all rows of `rows`.
+size_t LabelVocabulary(const ClassRowSet& rows) {
+  std::set<uint32_t> vocab;
+  for (const auto& row : rows.rows) {
+    vocab.insert(row.label_tokens.begin(), row.label_tokens.end());
+  }
+  return vocab.size();
+}
+
+/// The bank's LABEL feature of (i, j) must equal util::MongeElkanLevenshtein
+/// over the rows' token ids exactly, whichever path the bank took.
+void ExpectLabelEqualsDictionaryPath(const ClassRowSet& rows,
+                                     const RowMetricBank& bank, int i, int j) {
+  const double expected = util::MongeElkanLevenshtein(
+      rows.rows[i].label_tokens, rows.rows[j].label_tokens, *rows.dict);
+  ASSERT_EQ(bank.Compare(i, j).sims[0], expected)
+      << "rows " << i << ", " << j;
+}
+
+TEST(RowMetricsTest, LabelMatrixPathMatchesDictionaryPathOnGoldRows) {
+  const auto& state = SharedGoldRows();
+  const size_t vocab = LabelVocabulary(state.rows);
+  ASSERT_GT(vocab, 0u);
+  ASSERT_LE(vocab, kMaxLabelVocab);  // the precomputed-matrix path
+  RowMetricBank bank(state.rows, FirstKMetrics(1));
+  const int n = static_cast<int>(state.rows.rows.size());
+  for (int i = 0; i < n; ++i) {
+    for (int j = i; j < n; ++j) {
+      ExpectLabelEqualsDictionaryPath(state.rows, bank, i, j);
+    }
+  }
+}
+
+TEST(RowMetricsTest, LabelFallbackPathPastVocabularyCap) {
+  // Labels drawn from a pool of random words, so rows share some tokens
+  // and near-miss others, with more distinct tokens than the matrix allows.
+  util::Rng rng(11);
+  std::vector<std::string> pool(4000);
+  for (auto& word : pool) {
+    const int len = 3 + static_cast<int>(rng.NextBounded(5));
+    for (int c = 0; c < len; ++c) {
+      word.push_back(static_cast<char>('a' + rng.NextBounded(6)));
+    }
+  }
+  ClassRowSet rows;
+  rows.dict = std::make_shared<util::TokenDictionary>();
+  rows.tables = {0};
+  rows.table_implicit.resize(1);
+  rows.table_phi.resize(1);
+  for (int r = 0; r < 2000; ++r) {
+    RowFeature row;
+    row.table_index = 0;
+    const int words = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int w = 0; w < words; ++w) {
+      if (w > 0) row.normalized_label += ' ';
+      row.normalized_label += pool[rng.NextBounded(pool.size())];
+    }
+    row.label_tokens = rows.dict->InternTokens(row.normalized_label);
+    rows.rows.push_back(std::move(row));
+  }
+  ASSERT_GT(LabelVocabulary(rows), kMaxLabelVocab);
+  RowMetricBank bank(rows, FirstKMetrics(1));
+  const int n = static_cast<int>(rows.rows.size());
+  for (int i = 0; i < n; ++i) {
+    for (int j = i; j < std::min(n, i + 16); ++j) {
+      ExpectLabelEqualsDictionaryPath(rows, bank, i, j);
+      // The ids+dict adapter equals the string adapter on the same tokens.
+      ASSERT_EQ(util::MongeElkanLevenshtein(rows.rows[i].normalized_label,
+                                            rows.rows[j].normalized_label),
+                bank.Compare(i, j).sims[0]);
+    }
+  }
 }
 
 TEST(RowMetricsTest, SameTableMetricIsZeroWithinTable) {
