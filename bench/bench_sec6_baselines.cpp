@@ -79,8 +79,7 @@ int main() {
               "Accuracy");
   double avg_f1 = 0.0, avg_acc = 0.0;
   for (const auto& gs : dataset.gold) {
-    auto mapping = pipeline::GoldSchemaMapping(dataset.gs_corpus, gs,
-                                               dataset.kb);
+    auto mapping = pipeline::GoldSchemaMapping(dataset.gs_corpus, gs);
     // Gold row -> instance truth (existing clusters only).
     auto truth = pipeline::GoldRowInstances(gs);
     size_t predicted = 0, correct = 0, total_existing = truth.size();

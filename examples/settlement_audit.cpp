@@ -32,12 +32,7 @@ int main() {
   auto dict = std::make_shared<util::TokenDictionary>();
   auto kb_index = pipeline::BuildKbLabelIndex(dataset.kb, dict);
   webtable::PreparedCorpus prepared(dataset.gs_corpus, dict);
-  matching::SchemaMapping mapping;
-  mapping.tables.resize(dataset.gs_corpus.size());
-  for (const auto& gs : dataset.gold) {
-    auto m = pipeline::GoldSchemaMapping(dataset.gs_corpus, gs, dataset.kb);
-    pipeline::MergeGoldMappings(m, &mapping);
-  }
+  auto mapping = pipeline::GoldSchemaMapping(dataset.gs_corpus, dataset.gold);
   auto rows = rowcluster::BuildClassRowSet(prepared, mapping,
                                            gold->cls, dataset.kb, kb_index);
   std::vector<int> assignment(rows.rows.size(), -1);

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "ml/cross_validation.h"
-#include "pipeline/gold_artifacts.h"
+#include "pipeline/training.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -15,27 +15,20 @@ namespace ltee::pipeline {
 // ---------------------------------------------------------------------------
 
 struct GoldExperiment::ClassFoldState {
-  kb::ClassId cls = kb::kInvalidClass;
   std::vector<int> learning_clusters;
   std::vector<int> test_clusters;
-  eval::GoldStandard learning_gold;
   eval::GoldStandard test_gold;
-  /// Row set of the class built from the gold schema mapping.
-  rowcluster::ClassRowSet gold_rows;
-  /// Gold cluster index per row of gold_rows (-1 unannotated).
-  std::vector<int> gold_cluster_of_row;
-  /// Same, but only for learning-cluster rows (-1 elsewhere).
-  std::vector<int> learning_assignment;
-  std::set<int> test_cluster_set;
-  std::set<int> learning_cluster_set;
+  /// System clustering of the end-to-end run's test rows (TestEntities).
+  std::unique_ptr<rowcluster::ClassRowSet> test_rows;
+  cluster::ClusteringResult test_clustering;
 };
 
 struct GoldExperiment::FoldState {
   bool built = false;
   std::unique_ptr<LteePipeline> pipeline;
-  matching::SchemaMapping gold_mapping;
+  /// Gold mapping and per-class gold row sets built by the trainer.
+  GoldTraining gold;
   std::vector<ClassFoldState> classes;
-  std::vector<webtable::TableId> learning_tables;
   std::vector<webtable::TableId> test_tables;
   std::vector<matching::AttributeAnnotation> annotations;
   std::unique_ptr<PipelineRunResult> run;
@@ -73,31 +66,6 @@ GoldExperiment::GoldExperiment(const kb::KnowledgeBase& kb,
 
 GoldExperiment::~GoldExperiment() = default;
 
-std::vector<fusion::CreatedEntity> GoldExperiment::GoldClusterEntities(
-    const rowcluster::ClassRowSet& rows, const eval::GoldStandard& gold,
-    const std::vector<int>& cluster_indices,
-    const matching::SchemaMapping& mapping,
-    const fusion::EntityCreator& creator,
-    const webtable::PreparedCorpus& prepared) const {
-  std::map<int, int> dense;  // gold cluster -> dense id
-  for (size_t k = 0; k < cluster_indices.size(); ++k) {
-    dense[cluster_indices[k]] = static_cast<int>(k);
-  }
-  std::vector<int> assignment(rows.rows.size(), -1);
-  for (size_t i = 0; i < rows.rows.size(); ++i) {
-    const int g = gold.ClusterOfRow(rows.rows[i].ref);
-    auto it = dense.find(g);
-    if (it != dense.end()) assignment[i] = it->second;
-  }
-  auto entities = creator.Create(rows, assignment, mapping, prepared);
-  entities.resize(cluster_indices.size());
-  for (size_t k = 0; k < entities.size(); ++k) {
-    entities[k].cluster_id = static_cast<int>(k);
-    entities[k].cls = rows.cls;
-  }
-  return entities;
-}
-
 GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
   if (fold_states_[fold] == nullptr) {
     fold_states_[fold] = std::make_unique<FoldState>();
@@ -107,74 +75,20 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
   state.built = true;
   state.rng = util::Rng(seed_ * 7919 + fold + 1);
 
-  state.pipeline = std::make_unique<LteePipeline>(*kb_, options_);
-  LteePipeline& pipeline = *state.pipeline;
-  const webtable::PreparedCorpus& prepared = pipeline.Prepared(*gs_corpus_);
-  util::ThreadPool* pool = &pipeline.pool();
-
-  // ---- Gold mapping over the GS corpus (all classes merged). -----------
-  state.gold_mapping.tables.resize(gs_corpus_->size());
-  for (const auto& gs : gold_) {
-    auto class_mapping = GoldSchemaMapping(*gs_corpus_, gs, *kb_);
-    MergeGoldMappings(class_mapping, &state.gold_mapping);
-  }
-
-  // ---- Per-class state and component training. --------------------------
+  // ---- Cluster folds and the majority-fold table split. -----------------
+  GoldSplit split;
   for (size_t ci = 0; ci < gold_.size(); ++ci) {
     const eval::GoldStandard& gs = gold_[ci];
     ClassFoldState cf;
-    cf.cls = gs.cls;
     for (size_t g = 0; g < gs.clusters.size(); ++g) {
-      if (fold_of_cluster_[ci][g] == fold) {
-        cf.test_clusters.push_back(static_cast<int>(g));
-        cf.test_cluster_set.insert(static_cast<int>(g));
-      } else {
-        cf.learning_clusters.push_back(static_cast<int>(g));
-        cf.learning_cluster_set.insert(static_cast<int>(g));
-      }
+      (fold_of_cluster_[ci][g] == fold ? cf.test_clusters
+                                       : cf.learning_clusters)
+          .push_back(static_cast<int>(g));
     }
-    cf.learning_gold = eval::FilterClusters(gs, cf.learning_clusters);
     cf.test_gold = eval::FilterClusters(gs, cf.test_clusters);
-
-    cf.gold_rows = rowcluster::BuildClassRowSet(
-        prepared, state.gold_mapping, gs.cls, *kb_, pipeline.kb_index(),
-        options_.row_features);
-    cf.gold_cluster_of_row.resize(cf.gold_rows.rows.size(), -1);
-    cf.learning_assignment.resize(cf.gold_rows.rows.size(), -1);
-    for (size_t i = 0; i < cf.gold_rows.rows.size(); ++i) {
-      const int g = gs.ClusterOfRow(cf.gold_rows.rows[i].ref);
-      cf.gold_cluster_of_row[i] = g;
-      if (g >= 0 && cf.learning_cluster_set.count(g)) {
-        cf.learning_assignment[i] = g;
-      }
-    }
-
-    // Train the row clusterer on learning rows.
-    pipeline.clusterer_for(gs.cls).Train(
-        cf.gold_rows, cf.learning_assignment, state.rng, pool);
-
-    // Train the new detector on gold-cluster entities of the learning set.
-    auto creator = pipeline.MakeEntityCreator();
-    auto entities = GoldClusterEntities(cf.gold_rows, gs,
-                                        cf.learning_clusters,
-                                        state.gold_mapping, creator, prepared);
-    std::vector<fusion::CreatedEntity> train_entities;
-    std::vector<newdetect::DetectionLabel> train_labels;
-    for (size_t k = 0; k < entities.size(); ++k) {
-      if (entities[k].rows.empty()) continue;
-      const eval::GsCluster& cluster = gs.clusters[cf.learning_clusters[k]];
-      train_entities.push_back(std::move(entities[k]));
-      train_labels.push_back({cluster.is_new, cluster.kb_instance});
-    }
-    pipeline.detector_for(gs.cls).Train(train_entities, train_labels,
-                                        state.rng, pool);
-
+    split.learning_clusters.push_back(cf.learning_clusters);
     state.classes.push_back(std::move(cf));
-  }
 
-  // ---- Table folds and schema annotations. -------------------------------
-  for (size_t ci = 0; ci < gold_.size(); ++ci) {
-    const eval::GoldStandard& gs = gold_[ci];
     for (webtable::TableId tid : gs.tables) {
       // Majority fold over the table's annotated rows.
       std::vector<int> fold_count(num_folds_, 0);
@@ -186,7 +100,7 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
       const int majority = static_cast<int>(
           std::max_element(fold_count.begin(), fold_count.end()) -
           fold_count.begin());
-      (majority == fold ? state.test_tables : state.learning_tables)
+      (majority == fold ? state.test_tables : split.learning_tables)
           .push_back(tid);
     }
     for (const auto& attr : gs.attributes) {
@@ -194,30 +108,9 @@ GoldExperiment::FoldState& GoldExperiment::Fold(int fold) {
     }
   }
 
-  // ---- Schema matcher learning. -------------------------------------------
-  pipeline.schema_matcher_first().Learn(prepared, state.learning_tables,
-                                        state.annotations, {}, state.rng,
-                                        pool);
-  // The refined matcher is learned against *system* feedback: a real
-  // first-iteration run (first matcher + trained clusterers/detectors), so
-  // its weights see the same noise they will face at inference.
-  auto mapping1 = pipeline.schema_matcher_first().Match(prepared);
-  std::vector<ClassRunResult> first_pass;
-  for (const auto& gs : gold_) {
-    first_pass.push_back(pipeline.RunClass(*gs_corpus_, mapping1, gs.cls));
-  }
-  matching::RowInstanceMap system_instances;
-  matching::RowClusterMap system_clusters;
-  LteePipeline::CollectFeedback(first_pass, &system_instances,
-                                &system_clusters);
-  matching::MatcherFeedback system_feedback;
-  system_feedback.row_instances = &system_instances;
-  system_feedback.row_clusters = &system_clusters;
-  system_feedback.preliminary = &mapping1;
-  pipeline.schema_matcher_refined().Learn(prepared, state.learning_tables,
-                                          state.annotations, system_feedback,
-                                          state.rng, pool);
-
+  state.pipeline = std::make_unique<LteePipeline>(*kb_, options_);
+  state.gold = TrainPipelineOnGold(state.pipeline.get(), *gs_corpus_, gold_,
+                                   state.rng, split);
   LTEE_LOG(kDebug) << "fold " << fold << " trained";
   return state;
 }
@@ -231,6 +124,39 @@ const PipelineRunResult& GoldExperiment::EndToEndRun(int fold) {
         state.pipeline->Run(*gs_corpus_, classes));
   }
   return *state.run;
+}
+
+GoldEntities GoldExperiment::TestEntities(
+    int fold, int class_index, bool gold_clustering,
+    const fusion::EntityCreator& creator) {
+  FoldState& state = Fold(fold);
+  const PipelineRunResult& run = EndToEndRun(fold);
+  ClassFoldState& cf = state.classes[class_index];
+  const eval::GoldStandard& gs = gold_[class_index];
+  const rowcluster::ClassRowSet& rows = run.classes[class_index].rows;
+  const matching::SchemaMapping& mapping = run.mappings.back();
+  const webtable::PreparedCorpus& prepared =
+      state.pipeline->Prepared(*gs_corpus_);
+  if (gold_clustering) {
+    return GoldClusterEntities(rows, gs, cf.test_clusters, mapping, creator,
+                               prepared);
+  }
+  if (cf.test_rows == nullptr) {
+    // System clustering over test rows (learning rows excluded).
+    std::vector<bool> keep(rows.rows.size(), false);
+    for (size_t i = 0; i < keep.size(); ++i) {
+      const int g = gs.ClusterOfRow(rows.rows[i].ref);
+      keep[i] = g < 0 || fold_of_cluster_[class_index][g] == fold;
+    }
+    cf.test_rows = std::make_unique<rowcluster::ClassRowSet>(
+        rowcluster::FilterRows(rows, keep));
+    cf.test_clustering =
+        state.pipeline->clusterer_for(gs.cls).Cluster(*cf.test_rows);
+  }
+  GoldEntities out;
+  out.entities = creator.Create(*cf.test_rows, cf.test_clustering.cluster_of,
+                                mapping, prepared);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -318,21 +244,23 @@ GoldExperiment::ClusteringMetrics GoldExperiment::RowClustering(
 
   for (int fold = 0; fold < num_folds_; ++fold) {
     FoldState& state = Fold(fold);
-    for (auto& cf : state.classes) {
+    for (size_t ci = 0; ci < state.classes.size(); ++ci) {
+      const ClassFoldState& cf = state.classes[ci];
+      const rowcluster::ClassRowSet& gold_rows = state.gold.gold_rows[ci];
       rowcluster::RowClustererOptions opts = options_.clustering;
       opts.enabled_metrics = metrics;
       opts.aggregation = aggregation;
       opts.enable_blocking = blocking;
       rowcluster::RowClusterer clusterer(opts);
-      clusterer.Train(cf.gold_rows, cf.learning_assignment, state.rng,
-                      &state.pipeline->pool());
+      clusterer.Train(gold_rows, state.gold.learning_assignment[ci],
+                      state.rng, &state.pipeline->pool());
 
-      std::vector<bool> keep(cf.gold_rows.rows.size(), false);
+      std::vector<bool> keep(gold_rows.rows.size(), false);
       for (size_t i = 0; i < keep.size(); ++i) {
-        const int g = cf.gold_cluster_of_row[i];
-        keep[i] = g >= 0 && cf.test_cluster_set.count(g) > 0;
+        const int g = gold_[ci].ClusterOfRow(gold_rows.rows[i].ref);
+        keep[i] = g >= 0 && fold_of_cluster_[ci][g] == fold;
       }
-      auto test_rows = rowcluster::FilterRows(cf.gold_rows, keep);
+      auto test_rows = rowcluster::FilterRows(gold_rows, keep);
       auto result = clusterer.Cluster(test_rows);
 
       std::vector<webtable::RowRef> refs;
@@ -376,7 +304,7 @@ GoldExperiment::DetectionMetrics GoldExperiment::NewDetection(
   for (int fold = 0; fold < num_folds_; ++fold) {
     FoldState& state = Fold(fold);
     for (size_t ci = 0; ci < state.classes.size(); ++ci) {
-      ClassFoldState& cf = state.classes[ci];
+      const ClassFoldState& cf = state.classes[ci];
       const eval::GoldStandard& gs = gold_[ci];
 
       newdetect::NewDetectorOptions opts = options_.detection;
@@ -386,32 +314,25 @@ GoldExperiment::DetectionMetrics GoldExperiment::NewDetection(
       auto creator = state.pipeline->MakeEntityCreator();
       const webtable::PreparedCorpus& prepared =
           state.pipeline->Prepared(*gs_corpus_);
-      auto train_entities =
-          GoldClusterEntities(cf.gold_rows, gs, cf.learning_clusters,
-                              state.gold_mapping, creator, prepared);
-      std::vector<fusion::CreatedEntity> filtered_entities;
+      auto train = GoldClusterEntities(state.gold.gold_rows[ci], gs,
+                                       cf.learning_clusters,
+                                       state.gold.gold_mapping, creator,
+                                       prepared);
       std::vector<newdetect::DetectionLabel> labels;
-      for (size_t k = 0; k < train_entities.size(); ++k) {
-        if (train_entities[k].rows.empty()) continue;
-        const auto& cluster = gs.clusters[cf.learning_clusters[k]];
-        filtered_entities.push_back(std::move(train_entities[k]));
-        labels.push_back({cluster.is_new, cluster.kb_instance});
+      for (int g : train.clusters) {
+        labels.push_back({gs.clusters[g].is_new, gs.clusters[g].kb_instance});
       }
-      detector.Train(filtered_entities, labels, state.rng,
+      detector.Train(train.entities, labels, state.rng,
                      &state.pipeline->pool());
 
-      auto test_entities =
-          GoldClusterEntities(cf.gold_rows, gs, cf.test_clusters,
-                              state.gold_mapping, creator, prepared);
-      std::vector<fusion::CreatedEntity> eval_entities;
-      std::vector<const eval::GsCluster*> eval_clusters;
-      for (size_t k = 0; k < test_entities.size(); ++k) {
-        if (test_entities[k].rows.empty()) continue;
-        eval_clusters.push_back(&gs.clusters[cf.test_clusters[k]]);
-        eval_entities.push_back(std::move(test_entities[k]));
-      }
-      auto detections = detector.Detect(eval_entities);
-      auto result = eval::EvaluateNewDetection(detections, eval_clusters);
+      auto test = GoldClusterEntities(state.gold.gold_rows[ci], gs,
+                                      cf.test_clusters,
+                                      state.gold.gold_mapping, creator,
+                                      prepared);
+      std::vector<const eval::GsCluster*> test_clusters;
+      for (int g : test.clusters) test_clusters.push_back(&gs.clusters[g]);
+      auto detections = detector.Detect(test.entities);
+      auto result = eval::EvaluateNewDetection(detections, test_clusters);
 
       out.accuracy += result.accuracy;
       out.f1_existing += result.f1_existing;
@@ -461,40 +382,12 @@ eval::InstancesFoundResult GoldExperiment::NewInstancesFound(
   eval::InstancesFoundResult total;
   for (int fold = 0; fold < num_folds_; ++fold) {
     FoldState& state = Fold(fold);
-    const PipelineRunResult& run = EndToEndRun(fold);
-    ClassFoldState& cf = state.classes[class_index];
-    const eval::GoldStandard& gs = gold_[class_index];
-    const matching::SchemaMapping& mapping = run.mappings.back();
-    const ClassRunResult& class_run = run.classes[class_index];
-    auto creator = state.pipeline->MakeEntityCreator();
-
-    std::vector<fusion::CreatedEntity> entities;
-    std::vector<newdetect::Detection> detections;
-    const webtable::PreparedCorpus& prepared =
-        state.pipeline->Prepared(*gs_corpus_);
-    if (gold_clustering) {
-      auto gold_entities = GoldClusterEntities(
-          class_run.rows, gs, cf.test_clusters, mapping, creator, prepared);
-      for (auto& entity : gold_entities) {
-        if (!entity.rows.empty()) entities.push_back(std::move(entity));
-      }
-      detections = state.pipeline->detector_for(gs.cls).Detect(entities);
-    } else {
-      // System clustering over test rows (learning rows excluded).
-      std::vector<bool> keep(class_run.rows.rows.size(), false);
-      for (size_t i = 0; i < keep.size(); ++i) {
-        const int g = gs.ClusterOfRow(class_run.rows.rows[i].ref);
-        keep[i] = g < 0 || cf.test_cluster_set.count(g) > 0;
-      }
-      auto test_rows = rowcluster::FilterRows(class_run.rows, keep);
-      auto clustering =
-          state.pipeline->clusterer_for(gs.cls).Cluster(test_rows);
-      entities =
-          creator.Create(test_rows, clustering.cluster_of, mapping, prepared);
-      detections = state.pipeline->detector_for(gs.cls).Detect(entities);
-    }
-    auto result = eval::EvaluateNewInstancesFound(entities, detections,
-                                                  cf.test_gold);
+    auto test = TestEntities(fold, class_index, gold_clustering,
+                             state.pipeline->MakeEntityCreator());
+    auto detections = state.pipeline->detector_for(gold_[class_index].cls)
+                          .Detect(test.entities);
+    auto result = eval::EvaluateNewInstancesFound(
+        test.entities, detections, state.classes[class_index].test_gold);
     total.precision += result.precision;
     total.recall += result.recall;
     total.f1 += result.f1;
@@ -509,48 +402,17 @@ eval::FactsFoundResult GoldExperiment::FactsFound(
     int class_index, bool gold_clustering, bool gold_detection,
     fusion::ScoringApproach scoring) {
   eval::FactsFoundResult total;
+  const eval::GoldStandard& gs = gold_[class_index];
   for (int fold = 0; fold < num_folds_; ++fold) {
     FoldState& state = Fold(fold);
-    const PipelineRunResult& run = EndToEndRun(fold);
-    ClassFoldState& cf = state.classes[class_index];
-    const eval::GoldStandard& gs = gold_[class_index];
-    const matching::SchemaMapping& mapping = run.mappings.back();
-    const ClassRunResult& class_run = run.classes[class_index];
-    auto creator = state.pipeline->MakeEntityCreator(scoring);
-
-    std::vector<fusion::CreatedEntity> entities;
-    std::vector<newdetect::Detection> detections;
-    const webtable::PreparedCorpus& prepared =
-        state.pipeline->Prepared(*gs_corpus_);
-    if (gold_clustering) {
-      auto gold_entities = GoldClusterEntities(
-          class_run.rows, gs, cf.test_clusters, mapping, creator, prepared);
-      std::vector<int> kept_clusters;
-      for (size_t k = 0; k < gold_entities.size(); ++k) {
-        if (gold_entities[k].rows.empty()) continue;
-        kept_clusters.push_back(cf.test_clusters[k]);
-        entities.push_back(std::move(gold_entities[k]));
-      }
-      if (gold_detection) {
-        detections = GoldDetections(gs, kept_clusters);
-      } else {
-        detections = state.pipeline->detector_for(gs.cls).Detect(entities);
-      }
-    } else {
-      std::vector<bool> keep(class_run.rows.rows.size(), false);
-      for (size_t i = 0; i < keep.size(); ++i) {
-        const int g = gs.ClusterOfRow(class_run.rows.rows[i].ref);
-        keep[i] = g < 0 || cf.test_cluster_set.count(g) > 0;
-      }
-      auto test_rows = rowcluster::FilterRows(class_run.rows, keep);
-      auto clustering =
-          state.pipeline->clusterer_for(gs.cls).Cluster(test_rows);
-      entities = creator.Create(test_rows, clustering.cluster_of, mapping,
-                                prepared);
-      detections = state.pipeline->detector_for(gs.cls).Detect(entities);
-    }
-    auto result =
-        eval::EvaluateFactsFound(entities, detections, cf.test_gold);
+    auto test = TestEntities(fold, class_index, gold_clustering,
+                             state.pipeline->MakeEntityCreator(scoring));
+    auto detections =
+        gold_clustering && gold_detection
+            ? GoldDetections(gs, test.clusters)
+            : state.pipeline->detector_for(gs.cls).Detect(test.entities);
+    auto result = eval::EvaluateFactsFound(
+        test.entities, detections, state.classes[class_index].test_gold);
     total.precision += result.precision;
     total.recall += result.recall;
     total.f1 += result.f1;
@@ -570,31 +432,19 @@ eval::RankedEvalResult GoldExperiment::RankedNewEntities(size_t cutoff) {
   std::vector<std::pair<double, bool>> pool;  // (best_score, correct)
   for (int fold = 0; fold < num_folds_; ++fold) {
     FoldState& state = Fold(fold);
-    const PipelineRunResult& run = EndToEndRun(fold);
     for (size_t ci = 0; ci < state.classes.size(); ++ci) {
-      ClassFoldState& cf = state.classes[ci];
-      const eval::GoldStandard& gs = gold_[ci];
-      const ClassRunResult& class_run = run.classes[ci];
-      auto creator = state.pipeline->MakeEntityCreator();
-
-      std::vector<bool> keep(class_run.rows.rows.size(), false);
-      for (size_t i = 0; i < keep.size(); ++i) {
-        const int g = gs.ClusterOfRow(class_run.rows.rows[i].ref);
-        keep[i] = g < 0 || cf.test_cluster_set.count(g) > 0;
-      }
-      auto test_rows = rowcluster::FilterRows(class_run.rows, keep);
-      auto clustering =
-          state.pipeline->clusterer_for(gs.cls).Cluster(test_rows);
-      auto entities =
-          creator.Create(test_rows, clustering.cluster_of, run.mappings.back(),
-                         state.pipeline->Prepared(*gs_corpus_));
-      auto detections = state.pipeline->detector_for(gs.cls).Detect(entities);
+      const eval::GoldStandard& test_gold = state.classes[ci].test_gold;
+      auto test = TestEntities(fold, static_cast<int>(ci),
+                               /*gold_clustering=*/false,
+                               state.pipeline->MakeEntityCreator());
+      auto detections =
+          state.pipeline->detector_for(gold_[ci].cls).Detect(test.entities);
       const auto mapping_to_gold =
-          eval::MapEntitiesToGold(entities, cf.test_gold);
-      for (size_t e = 0; e < entities.size(); ++e) {
+          eval::MapEntitiesToGold(test.entities, test_gold);
+      for (size_t e = 0; e < test.entities.size(); ++e) {
         if (!detections[e].is_new) continue;
         const int g = mapping_to_gold[e];
-        const bool correct = g >= 0 && cf.test_gold.clusters[g].is_new;
+        const bool correct = g >= 0 && test_gold.clusters[g].is_new;
         pool.emplace_back(detections[e].best_score, correct);
       }
     }
@@ -613,32 +463,22 @@ GoldExperiment::ExistingInstanceMatching() {
   for (int fold = 0; fold < num_folds_; ++fold) {
     FoldState& state = Fold(fold);
     for (size_t ci = 0; ci < state.classes.size(); ++ci) {
-      ClassFoldState& cf = state.classes[ci];
       const eval::GoldStandard& gs = gold_[ci];
-      auto creator = state.pipeline->MakeEntityCreator();
-      auto entities =
-          GoldClusterEntities(cf.gold_rows, gs, cf.test_clusters,
-                              state.gold_mapping, creator,
-                              state.pipeline->Prepared(*gs_corpus_));
-      std::vector<fusion::CreatedEntity> eval_entities;
-      std::vector<const eval::GsCluster*> clusters;
-      for (size_t k = 0; k < entities.size(); ++k) {
-        if (entities[k].rows.empty()) continue;
-        clusters.push_back(&gs.clusters[cf.test_clusters[k]]);
-        eval_entities.push_back(std::move(entities[k]));
-      }
+      auto test = GoldClusterEntities(
+          state.gold.gold_rows[ci], gs, state.classes[ci].test_clusters,
+          state.gold.gold_mapping, state.pipeline->MakeEntityCreator(),
+          state.pipeline->Prepared(*gs_corpus_));
       auto detections =
-          state.pipeline->detector_for(gs.cls).Detect(eval_entities);
+          state.pipeline->detector_for(gs.cls).Detect(test.entities);
 
       int existing_total = 0, matched = 0, predicted = 0, correct = 0;
       for (size_t e = 0; e < detections.size(); ++e) {
-        const bool gold_existing = !clusters[e]->is_new;
-        if (gold_existing) ++existing_total;
+        const eval::GsCluster& cluster = gs.clusters[test.clusters[e]];
+        if (!cluster.is_new) ++existing_total;
         if (!detections[e].is_new &&
             detections[e].instance != kb::kInvalidInstance) {
           ++predicted;
-          if (gold_existing &&
-              detections[e].instance == clusters[e]->kb_instance) {
+          if (!cluster.is_new && detections[e].instance == cluster.kb_instance) {
             ++correct;
             ++matched;
           }

@@ -8,6 +8,7 @@
 #include "eval/clustering_eval.h"
 #include "eval/gold_standard.h"
 #include "eval/pipeline_eval.h"
+#include "pipeline/gold_artifacts.h"
 #include "pipeline/pipeline.h"
 #include "util/random.h"
 
@@ -16,7 +17,10 @@ namespace ltee::pipeline {
 /// Cross-validated gold-standard experiment driver: reproduces the paper's
 /// Sections 3 and 4 evaluations (Tables 6-10) and the Section 6 ranked
 /// comparison. Folds are assigned per class at cluster level, stratified
-/// by new/existing with homonym groups kept within one fold (Section 2.3).
+/// by new/existing with homonym groups kept within one fold (Section 2.3);
+/// a table belongs to the fold holding most of its annotated rows. Each
+/// fold's pipeline is trained by TrainPipelineOnGold on the fold's learning
+/// split and evaluated on its test clusters and tables.
 class GoldExperiment {
  public:
   GoldExperiment(const kb::KnowledgeBase& kb,
@@ -100,19 +104,17 @@ class GoldExperiment {
   struct ClassFoldState;
   struct FoldState;
 
+  /// Splits (and caches) a fold and trains its pipeline.
   FoldState& Fold(int fold);
   /// Builds (and caches) the end-to-end pipeline run of a fold.
   const PipelineRunResult& EndToEndRun(int fold);
-
-  /// Creates entities for the given gold clusters from `rows` (rows are
-  /// assigned to clusters via the gold annotation). Returns entities
-  /// parallel to `cluster_indices` (entities without rows are empty).
-  std::vector<fusion::CreatedEntity> GoldClusterEntities(
-      const rowcluster::ClassRowSet& rows, const eval::GoldStandard& gold,
-      const std::vector<int>& cluster_indices,
-      const matching::SchemaMapping& mapping,
-      const fusion::EntityCreator& creator,
-      const webtable::PreparedCorpus& prepared) const;
+  /// Entities of one class's test clusters in the fold's end-to-end run,
+  /// created by `creator`: with `gold_clustering` one per gold test cluster
+  /// (GoldClusterEntities); otherwise from the system clustering of the
+  /// run's rows outside the learning clusters, computed once per fold and
+  /// class (`clusters` left empty).
+  GoldEntities TestEntities(int fold, int class_index, bool gold_clustering,
+                            const fusion::EntityCreator& creator);
 
   const kb::KnowledgeBase* kb_;
   const webtable::TableCorpus* gs_corpus_;

@@ -5,9 +5,7 @@
 namespace ltee::pipeline {
 
 matching::SchemaMapping GoldSchemaMapping(const webtable::TableCorpus& corpus,
-                                          const eval::GoldStandard& gold,
-                                          const kb::KnowledgeBase& kb) {
-  (void)kb;
+                                          const eval::GoldStandard& gold) {
   matching::SchemaMapping mapping;
   mapping.tables.resize(corpus.size());
   for (webtable::TableId tid : gold.tables) {
@@ -43,16 +41,45 @@ matching::SchemaMapping GoldSchemaMapping(const webtable::TableCorpus& corpus,
   return mapping;
 }
 
-void MergeGoldMappings(const matching::SchemaMapping& from,
-                       matching::SchemaMapping* into) {
-  if (into->tables.size() < from.tables.size()) {
-    into->tables.resize(from.tables.size());
-  }
-  for (size_t t = 0; t < from.tables.size(); ++t) {
-    if (from.tables[t].table >= 0 && into->tables[t].table < 0) {
-      into->tables[t] = from.tables[t];
+matching::SchemaMapping GoldSchemaMapping(
+    const webtable::TableCorpus& corpus,
+    const std::vector<eval::GoldStandard>& gold) {
+  matching::SchemaMapping merged;
+  merged.tables.resize(corpus.size());
+  for (const auto& gs : gold) {
+    matching::SchemaMapping mapping = GoldSchemaMapping(corpus, gs);
+    for (size_t t = 0; t < mapping.tables.size(); ++t) {
+      if (mapping.tables[t].table >= 0 && merged.tables[t].table < 0) {
+        merged.tables[t] = std::move(mapping.tables[t]);
+      }
     }
   }
+  return merged;
+}
+
+GoldEntities GoldClusterEntities(const rowcluster::ClassRowSet& rows,
+                                 const eval::GoldStandard& gold,
+                                 const std::vector<int>& cluster_indices,
+                                 const matching::SchemaMapping& mapping,
+                                 const fusion::EntityCreator& creator,
+                                 const webtable::PreparedCorpus& prepared) {
+  std::vector<int> position(gold.clusters.size(), -1);
+  for (size_t k = 0; k < cluster_indices.size(); ++k) {
+    position[cluster_indices[k]] = static_cast<int>(k);
+  }
+  std::vector<int> assignment(rows.rows.size(), -1);
+  for (size_t i = 0; i < rows.rows.size(); ++i) {
+    const int g = gold.ClusterOfRow(rows.rows[i].ref);
+    if (g >= 0) assignment[i] = position[g];
+  }
+  auto created = creator.Create(rows, assignment, mapping, prepared);
+  GoldEntities out;
+  for (size_t k = 0; k < created.size(); ++k) {
+    if (created[k].rows.empty()) continue;
+    out.entities.push_back(std::move(created[k]));
+    out.clusters.push_back(cluster_indices[k]);
+  }
+  return out;
 }
 
 matching::RowInstanceMap GoldRowInstances(const eval::GoldStandard& gold) {

@@ -4,8 +4,10 @@
 #include <vector>
 
 #include "eval/gold_standard.h"
-#include "kb/knowledge_base.h"
+#include "fusion/entity_creator.h"
 #include "matching/schema_mapping.h"
+#include "rowcluster/row_features.h"
+#include "webtable/prepared_corpus.h"
 #include "webtable/web_table.h"
 
 namespace ltee::pipeline {
@@ -14,16 +16,29 @@ namespace ltee::pipeline {
 /// class is the gold class, column-to-property correspondences come from
 /// the annotations (score 1.0), the label column from label-attribute
 /// detection, and row-instance matches from the existing clusters.
-/// The result is sized to `corpus` with non-gold tables left unmapped;
-/// merge several classes' mappings with MergeGoldMappings.
+/// The result is sized to `corpus` with non-gold tables left unmapped.
 matching::SchemaMapping GoldSchemaMapping(const webtable::TableCorpus& corpus,
-                                          const eval::GoldStandard& gold,
-                                          const kb::KnowledgeBase& kb);
+                                          const eval::GoldStandard& gold);
 
-/// Overlays `from`'s mapped tables onto `into` (tables mapped in both keep
-/// `into`'s entry).
-void MergeGoldMappings(const matching::SchemaMapping& from,
-                       matching::SchemaMapping* into);
+/// The gold schema mappings of every class merged into one; a table mapped
+/// by several classes keeps the first class's entry.
+matching::SchemaMapping GoldSchemaMapping(
+    const webtable::TableCorpus& corpus,
+    const std::vector<eval::GoldStandard>& gold);
+
+/// Entities of the gold clusters `cluster_indices` of `gold`, each created
+/// from the rows of `rows` annotated with it. Clusters without rows in
+/// `rows` are dropped; `clusters[k]` is the gold cluster of `entities[k]`.
+struct GoldEntities {
+  std::vector<fusion::CreatedEntity> entities;
+  std::vector<int> clusters;
+};
+GoldEntities GoldClusterEntities(const rowcluster::ClassRowSet& rows,
+                                 const eval::GoldStandard& gold,
+                                 const std::vector<int>& cluster_indices,
+                                 const matching::SchemaMapping& mapping,
+                                 const fusion::EntityCreator& creator,
+                                 const webtable::PreparedCorpus& prepared);
 
 /// Row -> instance correspondences implied by the existing gold clusters.
 matching::RowInstanceMap GoldRowInstances(const eval::GoldStandard& gold);

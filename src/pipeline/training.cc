@@ -1,38 +1,46 @@
 #include "pipeline/training.h"
 
+#include <numeric>
+
 #include "pipeline/gold_artifacts.h"
 #include "util/logging.h"
 #include "util/trace.h"
 
 namespace ltee::pipeline {
 
-void TrainPipelineOnGold(LteePipeline* pipeline,
-                         const webtable::TableCorpus& gs_corpus,
-                         const std::vector<eval::GoldStandard>& gold,
-                         util::Rng& rng) {
-  // Merged gold mapping over the GS corpus.
-  matching::SchemaMapping gold_mapping;
-  gold_mapping.tables.resize(gs_corpus.size());
-  for (const auto& gs : gold) {
-    auto class_mapping =
-        GoldSchemaMapping(gs_corpus, gs, pipeline->knowledge_base());
-    MergeGoldMappings(class_mapping, &gold_mapping);
-  }
+GoldTraining TrainPipelineOnGold(LteePipeline* pipeline,
+                                 const webtable::TableCorpus& gs_corpus,
+                                 const std::vector<eval::GoldStandard>& gold,
+                                 util::Rng& rng, const GoldSplit& split) {
+  const bool full = split.learning_clusters.empty();
+  GoldTraining out;
+  out.gold_mapping = GoldSchemaMapping(gs_corpus, gold);
 
-  std::vector<webtable::TableId> all_tables;
+  std::vector<webtable::TableId> learning_tables = split.learning_tables;
   std::vector<matching::AttributeAnnotation> annotations;
 
   const webtable::PreparedCorpus& prepared = pipeline->Prepared(gs_corpus);
   util::ThreadPool* pool = &pipeline->pool();
 
-  for (const auto& gs : gold) {
+  for (size_t ci = 0; ci < gold.size(); ++ci) {
+    const eval::GoldStandard& gs = gold[ci];
+    std::vector<int> learning_clusters(gs.clusters.size());
+    if (full) {
+      std::iota(learning_clusters.begin(), learning_clusters.end(), 0);
+    } else {
+      learning_clusters = split.learning_clusters[ci];
+    }
+    std::vector<bool> is_learning(gs.clusters.size(), false);
+    for (int g : learning_clusters) is_learning[g] = true;
+
     // Row set of the class under the gold mapping.
     auto rows = rowcluster::BuildClassRowSet(
-        prepared, gold_mapping, gs.cls, pipeline->knowledge_base(),
+        prepared, out.gold_mapping, gs.cls, pipeline->knowledge_base(),
         pipeline->kb_index(), pipeline->options().row_features);
     std::vector<int> assignment(rows.rows.size(), -1);
     for (size_t i = 0; i < rows.rows.size(); ++i) {
-      assignment[i] = gs.ClusterOfRow(rows.rows[i].ref);
+      const int g = gs.ClusterOfRow(rows.rows[i].ref);
+      if (g >= 0 && is_learning[g]) assignment[i] = g;
     }
     {
       util::trace::ScopedSpan span("train.rowcluster");
@@ -42,38 +50,36 @@ void TrainPipelineOnGold(LteePipeline* pipeline,
     }
 
     // New detector on gold-cluster entities.
-    auto creator = pipeline->MakeEntityCreator();
-    std::vector<int> dense_assignment(rows.rows.size(), -1);
-    for (size_t i = 0; i < rows.rows.size(); ++i) {
-      dense_assignment[i] = assignment[i];
-    }
-    auto entities =
-        creator.Create(rows, dense_assignment, gold_mapping, prepared);
-    std::vector<fusion::CreatedEntity> train_entities;
+    auto train = GoldClusterEntities(rows, gs, learning_clusters,
+                                     out.gold_mapping,
+                                     pipeline->MakeEntityCreator(), prepared);
     std::vector<newdetect::DetectionLabel> labels;
-    for (size_t k = 0; k < entities.size() && k < gs.clusters.size(); ++k) {
-      if (entities[k].rows.empty()) continue;
-      train_entities.push_back(std::move(entities[k]));
-      labels.push_back({gs.clusters[k].is_new, gs.clusters[k].kb_instance});
+    for (int g : train.clusters) {
+      labels.push_back({gs.clusters[g].is_new, gs.clusters[g].kb_instance});
     }
     {
       util::trace::ScopedSpan span("train.newdetect");
       span.AddArg("class", static_cast<long long>(gs.cls));
-      span.AddArg("entities", train_entities.size());
-      pipeline->detector_for(gs.cls).Train(train_entities, labels, rng, pool);
+      span.AddArg("entities", train.entities.size());
+      pipeline->detector_for(gs.cls).Train(train.entities, labels, rng, pool);
     }
 
-    for (webtable::TableId tid : gs.tables) all_tables.push_back(tid);
+    if (full) {
+      learning_tables.insert(learning_tables.end(), gs.tables.begin(),
+                             gs.tables.end());
+    }
     for (const auto& attr : gs.attributes) {
       annotations.push_back({attr.table, attr.column, attr.property});
     }
+    out.gold_rows.push_back(std::move(rows));
+    out.learning_assignment.push_back(std::move(assignment));
   }
 
   {
     util::trace::ScopedSpan span("train.schema_match");
     span.AddArg("iteration", 1);
-    pipeline->schema_matcher_first().Learn(prepared, all_tables, annotations,
-                                           {}, rng, pool);
+    pipeline->schema_matcher_first().Learn(prepared, learning_tables,
+                                           annotations, {}, rng, pool);
   }
   // Learn the refined matcher against real first-iteration system feedback
   // so its weights match inference-time conditions.
@@ -93,10 +99,13 @@ void TrainPipelineOnGold(LteePipeline* pipeline,
   {
     util::trace::ScopedSpan span("train.schema_match");
     span.AddArg("iteration", 2);
-    pipeline->schema_matcher_refined().Learn(prepared, all_tables,
+    pipeline->schema_matcher_refined().Learn(prepared, learning_tables,
                                              annotations, feedback, rng, pool);
   }
-  LTEE_LOG(kInfo) << "pipeline trained on full gold standard";
+  if (full) {
+    LTEE_LOG(kInfo) << "pipeline trained on full gold standard";
+  }
+  return out;
 }
 
 }  // namespace ltee::pipeline

@@ -148,7 +148,7 @@ TEST(RowMatchingTest, MostExistingGoldRowsResolve) {
   auto index = pipeline::BuildKbLabelIndex(ds.kb);
   RowInstanceMatcher matcher(ds.kb, index);
   const auto& gs = ds.gold.front();
-  auto mapping = pipeline::GoldSchemaMapping(ds.gs_corpus, gs, ds.kb);
+  auto mapping = pipeline::GoldSchemaMapping(ds.gs_corpus, gs);
   auto truth = pipeline::GoldRowInstances(gs);
   size_t correct = 0;
   for (webtable::TableId tid : gs.tables) {

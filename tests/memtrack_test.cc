@@ -338,12 +338,7 @@ TEST(MemtrackReconciliation, RowClustererDenseCacheBytesAppearUnderItsSpan) {
   auto dict = std::make_shared<util::TokenDictionary>();
   auto kb_index = pipeline::BuildKbLabelIndex(ds.kb, dict);
   webtable::PreparedCorpus prepared(ds.gs_corpus, dict);
-  matching::SchemaMapping mapping;
-  mapping.tables.resize(ds.gs_corpus.size());
-  for (const auto& gs : ds.gold) {
-    auto m = pipeline::GoldSchemaMapping(ds.gs_corpus, gs, ds.kb);
-    pipeline::MergeGoldMappings(m, &mapping);
-  }
+  auto mapping = pipeline::GoldSchemaMapping(ds.gs_corpus, ds.gold);
   const auto& gs = ds.gold.front();
   rowcluster::ClassRowSet rows = rowcluster::BuildClassRowSet(
       prepared, mapping, gs.cls, ds.kb, kb_index);

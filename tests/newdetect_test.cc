@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "newdetect/new_detector.h"
 #include "pipeline/gold_artifacts.h"
 #include "pipeline/pipeline.h"
@@ -25,26 +27,17 @@ const GoldEntities& SharedGoldEntities() {
     auto dict = std::make_shared<util::TokenDictionary>();
     s->kb_index = pipeline::BuildKbLabelIndex(ds.kb, dict);
     webtable::PreparedCorpus prepared(ds.gs_corpus, dict);
-    matching::SchemaMapping mapping;
-    mapping.tables.resize(ds.gs_corpus.size());
-    for (const auto& gs : ds.gold) {
-      auto m = pipeline::GoldSchemaMapping(ds.gs_corpus, gs, ds.kb);
-      pipeline::MergeGoldMappings(m, &mapping);
-    }
+    auto mapping = pipeline::GoldSchemaMapping(ds.gs_corpus, ds.gold);
     const auto& gs = ds.gold.front();
     auto rows = rowcluster::BuildClassRowSet(prepared, mapping, gs.cls,
                                              ds.kb, s->kb_index);
-    std::vector<int> assignment(rows.rows.size(), -1);
-    for (size_t i = 0; i < rows.rows.size(); ++i) {
-      assignment[i] = gs.ClusterOfRow(rows.rows[i].ref);
-    }
-    fusion::EntityCreator creator(ds.kb);
-    auto entities = creator.Create(rows, assignment, mapping, prepared);
-    for (size_t k = 0; k < entities.size() && k < gs.clusters.size(); ++k) {
-      if (entities[k].rows.empty()) continue;
-      s->entities.push_back(std::move(entities[k]));
-      s->labels.push_back(
-          {gs.clusters[k].is_new, gs.clusters[k].kb_instance});
+    std::vector<int> clusters(gs.clusters.size());
+    std::iota(clusters.begin(), clusters.end(), 0);
+    auto gold = pipeline::GoldClusterEntities(
+        rows, gs, clusters, mapping, fusion::EntityCreator(ds.kb), prepared);
+    s->entities = std::move(gold.entities);
+    for (int g : gold.clusters) {
+      s->labels.push_back({gs.clusters[g].is_new, gs.clusters[g].kb_instance});
     }
     return s;
   }();

@@ -21,7 +21,7 @@ using ::ltee::testing::SharedDataset;
 TEST(GoldArtifactsTest, GoldMappingReflectsAnnotations) {
   const auto& ds = SharedDataset();
   const auto& gs = ds.gold.front();
-  auto mapping = GoldSchemaMapping(ds.gs_corpus, gs, ds.kb);
+  auto mapping = GoldSchemaMapping(ds.gs_corpus, gs);
   ASSERT_EQ(mapping.tables.size(), ds.gs_corpus.size());
   for (const auto& attr : gs.attributes) {
     const auto& tm = mapping.tables[attr.table];

@@ -39,11 +39,7 @@ const GoldRows& SharedGoldRows() {
     s->kb_index = pipeline::BuildKbLabelIndex(ds.kb, s->dict);
     s->prepared =
         std::make_unique<webtable::PreparedCorpus>(ds.gs_corpus, s->dict);
-    s->mapping.tables.resize(ds.gs_corpus.size());
-    for (const auto& gs : ds.gold) {
-      auto m = pipeline::GoldSchemaMapping(ds.gs_corpus, gs, ds.kb);
-      pipeline::MergeGoldMappings(m, &s->mapping);
-    }
+    s->mapping = pipeline::GoldSchemaMapping(ds.gs_corpus, ds.gold);
     const auto& gs = ds.gold.front();
     s->rows = BuildClassRowSet(*s->prepared, s->mapping, gs.cls, ds.kb,
                                s->kb_index);
